@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .estimation import RollingWindow, record_sample, snapshot_params
+from .estimation import RollingWindow, snapshot_params
 from .fec import FecAllocation, decode_threshold, solve_fec_split
 from .harness import (
     ExperimentConfig,
@@ -40,10 +40,9 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .priority_engine import EngineState, PriorityEngine, page_metrics, run_page
+from .priority_engine import PriorityEngine, page_metrics, run_page
 from .scheduler_core import (
     PathParams,
-    SchedulerConfig,
     SolveStats,
     SplitVector,
     compute_w,

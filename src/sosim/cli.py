@@ -7,14 +7,7 @@ import sys
 from dataclasses import replace
 
 from .errors import SosimError, UsageError
-from .harness import (
-    SWEEP_AXES,
-    improvement_pct,
-    parse_config,
-    run_experiment,
-    run_sweep,
-    write_csv,
-)
+from .harness import SWEEP_AXES, _run_paired, parse_config, run_sweep, write_csv
 from .simulator import SCHEDULERS
 
 
@@ -85,20 +78,12 @@ def _emit(rows, out) -> None:
         write_csv(rows, out)
 
 
-def _with_baseline(row, config, baseline):
-    if baseline:
-        ref = run_experiment(replace(config, scheduler=baseline, label=""))
-        row.improvement_mean_pct = improvement_pct(ref.mean_delay_ms, row.mean_delay_ms)
-        row.improvement_p95_pct = improvement_pct(ref.p95_delay_ms, row.p95_delay_ms)
-    return row
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         if args.command == "run":
-            _emit([_with_baseline(run_experiment(config), config, args.baseline)], args.out)
+            _emit([_run_paired(config, args.baseline)], args.out)
         elif args.command == "sweep":
             values = [v for v in args.values.split(",") if v]
             rows = run_sweep(
@@ -112,7 +97,7 @@ def main(argv=None) -> int:
         else:  # page
             if config.page_spec is None:
                 raise UsageError("page command needs page_spec in the config or --page-spec")
-            _emit([_with_baseline(run_experiment(config), config, args.baseline)], args.out)
+            _emit([_run_paired(config, args.baseline)], args.out)
     except SosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

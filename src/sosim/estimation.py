@@ -74,12 +74,6 @@ class RollingWindow:
         return float(self.as_array().std())
 
 
-def record_sample(window: RollingWindow, delay_ms: float) -> RollingWindow:
-    """Append one observed delay; evicts the oldest sample at capacity."""
-    window.record(delay_ms)
-    return window
-
-
 def snapshot_params(
     window: RollingWindow,
     epsilon_j: float,

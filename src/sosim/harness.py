@@ -113,7 +113,6 @@ def _delays_fixed_size(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     specs = seeded_paths(config)
     sources = [make_source(s) for s in specs]
     sim_cfg = config.sim_config()
-    feed = ParamFeed(specs, sim_cfg, None)
     policy = make_policy(config.scheduler, sim_cfg)
     n = config.object_size
     reps = config.replications
@@ -122,8 +121,8 @@ def _delays_fixed_size(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     windows = None
     if config.mode == "estimated":
         windows = [RollingWindow(sim_cfg.window_capacity) for _ in specs]
-        feed = ParamFeed(specs, sim_cfg, windows)
-        feed.warmup(sources, config.warmup_packets)
+    feed = ParamFeed(specs, sim_cfg, windows)
+    feed.warmup(sources, config.warmup_packets)
 
     delays = np.empty(reps)
     sent_total = 0
@@ -183,6 +182,17 @@ def run_experiment(config: ExperimentConfig) -> MetricsRow:
     )
 
 
+def _run_paired(config: ExperimentConfig, baseline: str | None = None) -> MetricsRow:
+    """Run one experiment; with a baseline scheduler, also run it on the same
+    seed (so identical delay streams) and fill in the improvement columns."""
+    row = run_experiment(config)
+    if baseline is not None:
+        ref = run_experiment(replace(config, scheduler=baseline, label=""))
+        row.improvement_mean_pct = improvement_pct(ref.mean_delay_ms, row.mean_delay_ms)
+        row.improvement_p95_pct = improvement_pct(ref.p95_delay_ms, row.p95_delay_ms)
+    return row
+
+
 def _default_label(config: ExperimentConfig) -> str:
     if config.object_size is not None:
         work = f"n={config.object_size}"
@@ -233,16 +243,8 @@ def run_sweep(
     for i, value in enumerate(values):
         point = _apply_axis(base, axis, value, axis_path)
         point = replace(point, seed=base.seed + i, label="")
-        row = run_experiment(point)
+        row = _run_paired(point, baseline)
         row.label = f"{axis}={value}/{row.label}"
-        if baseline is not None:
-            ref = run_experiment(replace(point, scheduler=baseline, label=""))
-            row.improvement_mean_pct = improvement_pct(
-                ref.mean_delay_ms, row.mean_delay_ms
-            )
-            row.improvement_p95_pct = improvement_pct(
-                ref.p95_delay_ms, row.p95_delay_ms
-            )
         rows.append(row)
     return rows
 

@@ -10,8 +10,6 @@ already in service continue and still count toward completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError, InfeasibleError, ValidationError
 from .simulator import (
     KIND_ARRIVAL,
@@ -29,16 +27,6 @@ from .workloads import (
     maybe_preempt,
     validate_specs,
 )
-
-
-@dataclass(frozen=True)
-class EngineState:
-    """Inspectable snapshot: clock, pending/active ids, per-path backlog."""
-
-    clock_ms: float
-    pending: tuple[str, ...]
-    active: tuple[str, ...]
-    in_flight: tuple[int, ...]
 
 
 class PriorityEngine:
@@ -186,20 +174,6 @@ class PriorityEngine:
 
     def records(self) -> list:
         return [self.lives[spec.id].record() for spec in self.specs]
-
-    @property
-    def state(self) -> EngineState:
-        active = tuple(
-            obj_id
-            for obj_id, _ in sorted(self._dispatched.items(), key=lambda kv: kv[1])
-            if not self.lives[obj_id].settled and not self.queue.is_armed(obj_id)
-        )
-        return EngineState(
-            clock_ms=self.sim.clock,
-            pending=self.queue.pending_ids,
-            active=active,
-            in_flight=self.sim.in_flight,
-        )
 
 
 def page_metrics(records, specs) -> PageResult:

@@ -14,13 +14,13 @@ overshoot probability is at most epsilon_j (epsilon split evenly over paths).
 
 The solvers minimize d_upper over integer splits: a water-level bisection for
 the fractional relaxation (all used paths end up with equal t_upper + prop,
-the Wardrop condition), ceil/floor corner search to round it, and a direct
+the Wardrop condition), an exact O(m log m) ceil/floor rounding of it that
+returns the best corner without enumerating the corners, and a direct
 O(log n) bisection on the packet count for the two-path case.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,25 +74,6 @@ class SplitVector:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Design parameters: overall tail budget epsilon, split evenly over paths."""
-
-    epsilon: float = 0.05
-    max_paths: int = 8
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
-        if self.max_paths < 1:
-            raise ValidationError("max_paths must be positive")
-
-    def per_path_epsilon(self, m: int) -> float:
-        if m < 1:
-            raise ValidationError("need at least one path")
-        return self.epsilon / m
 
 
 @dataclass
@@ -249,8 +230,8 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> SplitVector
     """Integer split minimizing the object delay bound.
 
     Two paths use the O(log n) bisection; more paths solve the relaxation and
-    search the ceil/floor corners around it.  Ties prefer giving more packets
-    to the lowest-index path.
+    round it to the best ceil/floor corner exactly in O(m log m).  Ties prefer
+    giving more packets to the lowest-index path.
     """
     paths = _check_paths(paths)
     if n < 0:
@@ -263,38 +244,28 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> SplitVector
     if m == 2:
         return _solve_two(n, paths, stats)
 
+    # Exact rounding of the relaxation.  lo[j] is path j's bound at its floor;
+    # hi[j] is its bound at floor + 1, for paths with a fractional part.  Any
+    # choice of `rem` such paths to bump has bound at least
+    # level = max(max(lo), rem-th smallest hi), because hi >= lo.  Bumping the
+    # lowest-index paths with hi <= level reaches that level, and among the
+    # corners that do, it is the lexicographically largest: the tie-break.
     xs = solve_relaxed(n, paths)
     floors = [math.floor(x) for x in xs]
     rem = n - sum(floors)
-    bumpable = [j for j in range(m) if math.ceil(xs[j]) > floors[j]]
-    if rem < 0 or rem > len(bumpable):
-        # float noise collapsed a fractional part; apportion by largest remainder
-        fracs = sorted(range(m), key=lambda j: (floors[j] - xs[j], j))
-        counts = list(floors)
-        for j in fracs[: max(rem, 0)]:
-            counts[j] += 1
-        combos = [tuple(counts)]
-    else:
-        combos = []
-        for bump in itertools.combinations(bumpable, rem):
-            counts = list(floors)
-            for j in bump:
-                counts[j] += 1
-            combos.append(tuple(counts))
-
-    best_counts: tuple[int, ...] | None = None
-    best_d = math.inf
-    for counts in combos:
-        d = max(
-            t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths)
-        )
-        if stats is not None:
-            stats.d_upper_evals += 1
-        if d < best_d or (d == best_d and (best_counts is None or counts > best_counts)):
-            best_d = d
-            best_counts = counts
-    assert best_counts is not None
-    return SplitVector(best_counts, n)
+    lo = [t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(floors, paths)]
+    hi = {
+        j: t_upper(floors[j] + 1, p.in_flight, p) + p.prop_ms
+        for j, p in enumerate(paths)
+        if math.ceil(xs[j]) > floors[j]
+    }
+    if stats is not None:
+        stats.d_upper_evals += 2
+    level = max(lo + sorted(hi.values())[:rem])
+    counts = list(floors)
+    for j in [j for j, h in hi.items() if h <= level][:rem]:
+        counts[j] += 1
+    return SplitVector(tuple(counts), n)
 
 
 def split_object(n: int, paths, stats: SolveStats | None = None) -> SplitVector:

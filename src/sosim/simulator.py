@@ -24,6 +24,7 @@ from .baselines import PathQueueState, edf_assign, sedpf_assign
 from .delay_sources import DelaySource, DelaySourceSpec, make_source, oracle_stats
 from .errors import (
     ConfigError,
+    DomainError,
     InfeasibleError,
     UndefinedSizeError,
     ValidationError,
@@ -54,6 +55,8 @@ class SimConfig:
     priors: tuple | None = None  # per-path (mu, a, b, stddev) for cold starts
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.mode not in ("oracle", "estimated"):
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
         if self.ack_return_ms < 0:

@@ -193,10 +193,6 @@ class ObjectQueue:
     def __len__(self) -> int:
         return len(self._armed)
 
-    @property
-    def pending_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._armed, key=lambda i: self._armed[i][0]))
-
     def arm(self, obj_id: str, item, priority: int, connection_id: str,
             arrival_seq: int | None = None) -> None:
         if arrival_seq is None:

@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sosim.errors import NoDataError, ValidationError
-from sosim.estimation import RollingWindow, nearest_rank, record_sample, snapshot_params
+from sosim.estimation import RollingWindow, nearest_rank, snapshot_params
 
 
 def test_record_appends():
     w = RollingWindow(10)
-    record_sample(w, 5.0)
+    w.record(5.0)
     assert w.samples == (5.0,)
 
 

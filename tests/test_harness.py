@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sosim.cli import main
@@ -16,6 +18,7 @@ from sosim.harness import (
     run_sweep,
     write_csv,
 )
+from sosim.simulator import SimConfig
 
 TWO_GAMMA = (
     DelaySourceSpec(kind="gamma", mean_ms=10.0, stddev_ms=1.0),
@@ -251,6 +254,29 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     f.write_text("nonsense\n")
     assert main(["run", "--config", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_epsilon_outside_unit_interval_rejected(tmp_path):
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            SimConfig(epsilon=eps)
+    f = tmp_path / "eps.cfg"
+    f.write_text(CONFIG_TEXT.replace("epsilon = 0.05", "epsilon = 1.5"))
+    assert main(["run", "--config", str(f)]) == 2
+
+
+def test_cli_run_baseline_matches_separate_run(config_file, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(config_file), "--baseline", "edf",
+                 "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    config = parse_config(config_file)
+    cand = run_experiment(config)
+    ref = run_experiment(replace(config, scheduler="edf"))
+    assert float(row[4]) == pytest.approx(
+        improvement_pct(ref.mean_delay_ms, cand.mean_delay_ms), rel=1e-9)
+    assert float(row[5]) == pytest.approx(
+        improvement_pct(ref.p95_delay_ms, cand.p95_delay_ms), rel=1e-9)
 
 
 def test_cli_seed_override(config_file, capsys):

@@ -157,20 +157,3 @@ def test_split_matches_backlog_replay():
     assert engine.policy.calls
     for n, params, counts in engine.policy.calls:
         assert counts == split_object(n, params).counts
-
-
-def test_engine_state_partition():
-    specs = [
-        ObjectSpec("a", 5, priority=1, connection_id="c1"),
-        ObjectSpec("b", 4, priority=0, connection_id="c2", trigger=Trigger.dep("a", 1)),
-    ]
-    engine = PriorityEngine(specs, sources(det(2.0)), SimConfig(), "sos")
-    seen_ids = set()
-    while engine.step():
-        st = engine.state
-        assert not (set(st.pending) & set(st.active))
-        seen_ids |= set(st.pending) | set(st.active)
-        assert all(u >= 0 for u in st.in_flight)
-    assert seen_ids  # the run visited intermediate states
-    final = engine.state
-    assert final.pending == () and final.active == ()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from sosim.errors import DegenerateInputError, DomainError, ValidationError
 from sosim.scheduler_core import (
     PathParams,
-    SchedulerConfig,
     SolveStats,
     SplitVector,
     compute_w,
@@ -212,23 +212,60 @@ def test_integer_eval_budget():
     assert stats.d_upper_evals <= 2 * math.ceil(math.log2(n + 1)) + 4
 
 
-def test_integer_rounding_beats_all_corners_m3():
+def corner_search(n, paths):
+    """Brute-force m >= 3 reference: every ceil/floor corner of the relaxation,
+    lowest bound first, ties to the lexicographically largest counts."""
+    xs = solve_relaxed(n, paths)
+    floors = [math.floor(x) for x in xs]
+    rem = n - sum(floors)
+    bumpable = [j for j, x in enumerate(xs) if math.ceil(x) > floors[j]]
+    assert 0 <= rem <= len(bumpable)
+    best_counts, best_d = None, math.inf
+    for bump in itertools.combinations(bumpable, rem):
+        counts = tuple(f + (j in bump) for j, f in enumerate(floors))
+        d = max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
+        if d < best_d or (d == best_d and counts > best_counts):
+            best_d, best_counts = d, counts
+    return best_counts
+
+
+def test_integer_rounding_matches_corner_enumeration():
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        paths = [
-            PathParams(float(rng.uniform(0.5, 10)), 0.0, 20.0, float(rng.uniform(0, 10)))
-            for _ in range(3)
-        ]
-        n = int(rng.integers(3, 40))
-        xs = solve_relaxed(n, paths)
-        s = solve_integer(n, paths)
-        best = d_upper(s, paths)
-        floors = [math.floor(x) for x in xs]
-        for mask in range(8):
-            counts = [floors[j] + ((mask >> j) & 1) for j in range(3)]
-            if sum(counts) != n:
-                continue
-            assert best <= d_upper(SplitVector(tuple(counts), n), paths) + 1e-12 * best
+    for m in range(3, 9):
+        for trial in range(150):
+            if trial % 2:
+                # integer-valued parameters drawn from a small pool, so paths
+                # repeat and many corners tie exactly
+                pool = [
+                    PathParams(
+                        float(rng.integers(1, 4)), 0.0, 20.0, float(rng.integers(0, 3)),
+                        prop_ms=float(rng.choice([0, 5])), in_flight=int(rng.choice([0, 0, 2])),
+                    )
+                    for _ in range(int(rng.integers(1, 3)))
+                ]
+                paths = [pool[int(rng.integers(len(pool)))] for _ in range(m)]
+            else:
+                paths = [
+                    PathParams(
+                        float(rng.uniform(0.5, 10)), 0.0, 20.0, float(rng.uniform(0, 10)),
+                        prop_ms=float(rng.uniform(0, 20)), in_flight=int(rng.integers(0, 4)),
+                    )
+                    for _ in range(m)
+                ]
+            n = int(rng.integers(1, 80))
+            assert solve_integer(n, paths).counts == corner_search(n, paths)
+
+
+def test_integer_rounding_costs_two_evals_m16():
+    rng = np.random.default_rng(16)
+    paths = [
+        PathParams(float(rng.uniform(2, 20)), 0.0, 60.0, float(rng.uniform(0, 40)))
+        for _ in range(16)
+    ]
+    stats = SolveStats(d_upper_evals=5)
+    s = solve_integer(1000, paths, stats=stats)
+    assert stats.d_upper_evals == 5 + 2
+    assert s.counts == corner_search(1000, paths)
 
 
 def test_integer_monotone_in_n():
@@ -307,11 +344,3 @@ def test_path_params_validation():
         PathParams(-1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         PathParams(1.0, 0.0, 1.0, -2.0)
-
-
-def test_scheduler_config_epsilon_split():
-    cfg = SchedulerConfig()
-    assert cfg.epsilon == 0.05
-    assert cfg.per_path_epsilon(2) == pytest.approx(0.025)
-    with pytest.raises(DomainError):
-        SchedulerConfig(epsilon=1.5)
