@@ -9,6 +9,8 @@ can run on finite traces.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,6 +130,8 @@ def _parse_trace(path: Path) -> list[float]:
                 delay = float(parts[1])
             except ValueError as exc:
                 raise ParseError(path, line_no, f"unparseable value: {exc}") from exc
+            if not math.isfinite(delay):
+                raise ParseError(path, line_no, f"non-finite delay {parts[1].strip()!r}")
             if delay < 0:
                 raise ValidationError(f"{path}:{line_no}: negative delay {delay}")
             samples.append(delay)
@@ -151,6 +155,15 @@ def make_source(spec: DelaySourceSpec) -> DelaySource:
     return TraceSource(_parse_trace(Path(spec.trace_path)), spec)
 
 
+@functools.lru_cache(maxsize=1024)
+def _gamma_quantiles(mean_ms: float, stddev_ms: float, window: int) -> tuple[float, float]:
+    """(1/(window+1) quantile, 0.95 quantile) of the moment-matched gamma."""
+    shape = (mean_ms / stddev_ms) ** 2
+    scale = stddev_ms**2 / mean_ms
+    dist = scipy.stats.gamma(shape, scale=scale)
+    return float(dist.ppf(1.0 / (window + 1))), float(dist.ppf(0.95))
+
+
 def oracle_stats(
     spec: DelaySourceSpec, window: int = 5000
 ) -> tuple[float, float, float, float]:
@@ -159,16 +172,14 @@ def oracle_stats(
     For gamma kinds the p95 is the analytic quantile and the minimum is the
     population analog of a size-`window` sample minimum (the 1/(window+1)
     quantile), so estimated-mode parameters converge to these after warm-up.
-    Trace statistics are taken over the whole file.
+    The gamma quantiles are memoized on (mean, stddev, window), so specs
+    that differ only in seed share them.  Trace statistics are taken over
+    the whole file, which is read again on every call.
     """
     if spec.kind == "deterministic":
         return spec.mean_ms, spec.mean_ms, spec.mean_ms, 0.0
     if spec.kind == "gamma":
-        shape = (spec.mean_ms / spec.stddev_ms) ** 2
-        scale = spec.stddev_ms**2 / spec.mean_ms
-        dist = scipy.stats.gamma(shape, scale=scale)
-        a = float(dist.ppf(1.0 / (window + 1)))
-        b = float(dist.ppf(0.95))
+        a, b = _gamma_quantiles(spec.mean_ms, spec.stddev_ms, window)
         return spec.mean_ms, a, b, spec.stddev_ms
     samples = np.asarray(_parse_trace(Path(spec.trace_path)))
     return (

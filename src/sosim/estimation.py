@@ -11,7 +11,6 @@ standard deviation alone (sub-Gaussian Chernoff form, see
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -32,42 +31,65 @@ def nearest_rank(values: np.ndarray, p: float) -> float:
 
 
 class RollingWindow:
-    """Fixed-capacity FIFO of delay samples, most recent last."""
+    """Fixed-capacity FIFO of delay samples, most recent last.
+
+    The samples live in a preallocated ring buffer; writes go in place and
+    a full window overwrites its oldest sample.
+    """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValidationError("window capacity must be positive")
         self.capacity = capacity
-        self._samples: deque[float] = deque(maxlen=capacity)
-        self._array: np.ndarray | None = None  # as_array() cache, reset by every write
+        self._buf = np.empty(capacity)
+        self._head = 0  # slot of the next write, which is the oldest sample once full
+        self._size = 0
+        # as_array() and stddev() caches, reset by every write.
+        self._array: np.ndarray | None = None
+        self._std: float | None = None
 
     def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def samples(self) -> tuple[float, ...]:
-        return tuple(self._samples)
+        return self._size
 
     def record(self, delay_ms: float) -> None:
-        if delay_ms < 0:
-            raise ValidationError(f"negative delay sample {delay_ms}")
-        self._samples.append(float(delay_ms))
-        self._array = None
+        if not 0.0 <= delay_ms < math.inf:
+            raise ValidationError(f"delay sample {delay_ms} is not finite and nonnegative")
+        head = self._head
+        self._buf[head] = delay_ms
+        head += 1
+        self._head = 0 if head == self.capacity else head
+        if self._size < self.capacity:
+            self._size += 1
+        self._array = self._std = None
 
     def extend(self, delays) -> None:
         arr = np.asarray(delays, dtype=float)
-        if arr.size and float(arr.min()) < 0:
-            raise ValidationError("negative delay sample")
-        self._samples.extend(arr.tolist())
-        self._array = None
+        count = arr.size
+        if count == 0:
+            return
+        if not (0.0 <= arr.min() and arr.max() < math.inf):
+            raise ValidationError("delay samples must be finite and nonnegative")
+        cap, head = self.capacity, self._head
+        if count >= cap:
+            self._buf[:] = arr[count - cap :]
+            self._head = 0
+        else:
+            first = min(count, cap - head)
+            self._buf[head : head + first] = arr[:first]
+            self._buf[: count - first] = arr[first:]
+            self._head = (head + count) % cap
+        self._size = min(self._size + count, cap)
+        self._array = self._std = None
 
     def as_array(self) -> np.ndarray:
-        """The samples, oldest first, as a read-only array kept until the next write."""
-        if not self._samples:
+        """The samples, oldest first, as a read-only copy kept until the next write."""
+        if self._size == 0:
             raise NoDataError("window is empty")
         if self._array is None:
-            self._array = np.fromiter(self._samples, dtype=float, count=len(self._samples))
-            self._array.flags.writeable = False
+            # Until the buffer first fills, _head == _size and the first part is empty.
+            arr = np.concatenate((self._buf[self._head : self._size], self._buf[: self._head]))
+            arr.flags.writeable = False
+            self._array = arr
         return self._array
 
     def mean(self) -> float:
@@ -80,7 +102,10 @@ class RollingWindow:
         return nearest_rank(self.as_array(), p)
 
     def stddev(self) -> float:
-        return float(self.as_array().std())
+        """Population standard deviation, kept until the next write."""
+        if self._std is None:
+            self._std = float(self.as_array().std())
+        return self._std
 
 
 def snapshot_params(
@@ -104,7 +129,7 @@ def snapshot_params(
         mu_ms=mu,
         a_ms=a,
         b_ms=b,
-        w=variance_w(epsilon_j, float(arr.std())),
+        w=variance_w(epsilon_j, window.stddev()),
         prop_ms=prop_ms,
         in_flight=in_flight,
     )

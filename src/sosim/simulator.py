@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleError,
+    NoDataError,
     UndefinedSizeError,
     ValidationError,
 )
@@ -207,7 +208,13 @@ def dispatch_order(counts, params) -> tuple[int, ...]:
 
 
 class ParamFeed:
-    """Supplies per-path scheduling parameters, true or window-estimated."""
+    """Supplies per-path scheduling parameters, true or window-estimated.
+
+    Oracle mode uses `priors` when given, else the sources' true statistics.
+    Estimated mode uses each path's window; a path whose window is empty
+    falls back to `priors` only, and without them the snapshot raises
+    NoDataError: estimated mode never reads the true statistics.
+    """
 
     def __init__(self, specs, config: SimConfig, windows=None):
         self.specs = list(specs)
@@ -215,12 +222,13 @@ class ParamFeed:
         self.windows = windows
         m = len(self.specs)
         self.epsilon_j = config.epsilon / m
+        self._known: list[tuple] | None = None
         if config.priors is not None:
             if len(config.priors) != m:
                 raise ConfigError("need one prior tuple per path")
-            self._truth = [tuple(p) for p in config.priors]
-        else:
-            self._truth = [oracle_stats(s, config.window_capacity) for s in self.specs]
+            self._known = [tuple(p) for p in config.priors]
+        elif config.mode == "oracle":
+            self._known = [oracle_stats(s, config.window_capacity) for s in self.specs]
 
     def warmup(self, sources, count: int) -> None:
         """Prime the windows with a continuous packet stream per path."""
@@ -241,8 +249,12 @@ class ParamFeed:
                     snapshot_params(window, self.epsilon_j, spec.propagation_ms, u)
                 )
                 stddevs.append(window.stddev())
+            elif self._known is None:
+                raise NoDataError(
+                    f"estimated mode: path {j} has no window samples and no priors"
+                )
             else:
-                mu, a, b, sigma = self._truth[j]
+                mu, a, b, sigma = self._known[j]
                 params.append(
                     PathParams(
                         mu_ms=mu,

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from sosim.delay_sources import (
     DelaySourceSpec,
     GammaSource,
+    _gamma_quantiles,
     load_trace,
     make_source,
     oracle_stats,
@@ -92,6 +94,15 @@ def test_trace_negative_delay(tmp_path):
         load_trace(f)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_trace_non_finite_delay_reports_number(tmp_path, value):
+    f = tmp_path / "t.csv"
+    f.write_text(f"0,2.5\n1,{value}\n")
+    with pytest.raises(ParseError) as exc:
+        load_trace(f)
+    assert exc.value.line_no == 2
+
+
 def test_trace_malformed_line_reports_number(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0,2.5\nnot a line\n")
@@ -136,3 +147,23 @@ def test_oracle_stats_trace(tmp_path):
     assert a == 1.0
     assert b == 95.0
     assert sigma == pytest.approx(np.arange(1.0, 101.0).std())
+
+
+def test_oracle_stats_gamma_quantiles_cached_across_seeds():
+    first = oracle_stats(DelaySourceSpec(kind="gamma", mean_ms=7.5, stddev_ms=3.25, seed=1))
+    before = _gamma_quantiles.cache_info()
+    second = oracle_stats(DelaySourceSpec(kind="gamma", mean_ms=7.5, stddev_ms=3.25, seed=2))
+    after = _gamma_quantiles.cache_info()
+    assert second == first
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    dist = scipy.stats.gamma((7.5 / 3.25) ** 2, scale=3.25**2 / 7.5)
+    assert first == (7.5, float(dist.ppf(1.0 / 5001)), float(dist.ppf(0.95)), 3.25)
+
+
+def test_oracle_stats_rereads_trace_files(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("0,1.0\n1,3.0\n")
+    spec = DelaySourceSpec(kind="trace", trace_path=f)
+    assert oracle_stats(spec) == (2.0, 1.0, 3.0, 1.0)
+    f.write_text("0,5.0\n1,9.0\n")
+    assert oracle_stats(spec) == (7.0, 5.0, 9.0, 2.0)

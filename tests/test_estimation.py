@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sosim.errors import NoDataError, ValidationError
@@ -14,14 +17,14 @@ from sosim.estimation import RollingWindow, nearest_rank, snapshot_params
 def test_record_appends():
     w = RollingWindow(10)
     w.record(5.0)
-    assert w.samples == (5.0,)
+    assert w.as_array().tolist() == [5.0]
 
 
 def test_eviction_at_capacity():
     w = RollingWindow(3)
     for x in (1, 2, 3, 4):
         w.record(x)
-    assert w.samples == (2.0, 3.0, 4.0)
+    assert w.as_array().tolist() == [2.0, 3.0, 4.0]
 
 
 def test_default_capacity_keeps_last_5000():
@@ -38,6 +41,20 @@ def test_negative_sample_rejected():
         w.record(-0.1)
     with pytest.raises(ValidationError):
         w.extend([1.0, -2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_rejected_before_any_write(bad):
+    w = RollingWindow(3)
+    w.extend([1.0, 2.0])
+    with pytest.raises(ValidationError):
+        w.record(bad)
+    with pytest.raises(ValidationError):
+        w.extend([3.0, bad])
+    with pytest.raises(ValidationError):
+        w.extend([4.0] * 5 + [bad])  # longer than the capacity
+    assert w.as_array().tolist() == [1.0, 2.0]
+    assert w.stddev() == 0.5
 
 
 def test_as_array_follows_writes_and_is_read_only():
@@ -114,3 +131,39 @@ def test_nearest_rank_bounds():
     assert nearest_rank(np.array([1.0, 2.0]), 0.0) == 1.0
     with pytest.raises(NoDataError):
         nearest_rank(np.array([]), 0.5)
+
+
+_SAMPLES = st.floats(0.0, 1e6)
+_WRITES = st.lists(
+    st.one_of(
+        _SAMPLES.map(lambda x: ("record", x)),
+        st.lists(_SAMPLES, max_size=90).map(lambda xs: ("extend", xs)),
+    ),
+    max_size=30,
+)
+
+
+@given(st.integers(1, 40), _WRITES)
+@example(1, [("extend", []), ("record", 2.0), ("extend", [3.0, 4.0, 5.0]), ("extend", [])])
+@example(3, [("extend", [float(i) for i in range(10)])] + [("record", 0.5)] * 7)
+@example(7, [("extend", [0.1 * i, 1e6 - i, 3.3]) for i in range(25)])
+def test_ring_buffer_matches_deque(capacity, writes):
+    w = RollingWindow(capacity)
+    ref: deque[float] = deque(maxlen=capacity)
+    for kind, value in writes:
+        if kind == "record":
+            w.record(value)
+            ref.append(value)
+        else:
+            w.extend(value)
+            ref.extend(value)
+        assert len(w) == len(ref)
+        if not ref:
+            continue
+        arr = np.array(ref)
+        assert w.as_array().tolist() == list(ref)
+        assert w.mean() == float(arr.mean())
+        assert w.stddev() == float(arr.std())
+        assert w.minimum() == float(arr.min())
+        rank = max(0, math.ceil(0.95 * len(arr)) - 1)
+        assert w.percentile(0.95) == float(np.sort(arr)[rank])

@@ -249,6 +249,19 @@ def test_cli_page_estimated_mode(config_file, tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_cli_page_estimated_without_warmup_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("mode = oracle", "mode = oracle\nwarmup_packets = 0"))
+    page = tmp_path / "page.csv"
+    page.write_text("html,2,1,c1,1,t0\nimg,3,0,c2,0,dep:html:1\n")
+    out = tmp_path / "out.csv"
+    rc = main(["page", "--config", str(cfg), "--page-spec", str(page),
+               "--mode", "estimated", "--out", str(out)])
+    assert rc == 2
+    assert "no window samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.cfg"
     f.write_text("nonsense\n")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import InfeasibleError, UndefinedSizeError
+from sosim.errors import InfeasibleError, NoDataError, UndefinedSizeError
+from sosim.estimation import RollingWindow
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object
 from sosim.workloads import ObjectSpec
@@ -127,7 +128,42 @@ def test_estimated_mode_records_gaps():
     simulation.dispatch(live, Plan((5,), 5), feed_params, 0.0)
     simulation.run()
     # 5 services, first of the busy run unrecorded
-    assert simulation.windows[0].samples == (3.0, 3.0, 3.0, 3.0)
+    assert simulation.windows[0].as_array().tolist() == [3.0, 3.0, 3.0, 3.0]
+
+
+def test_estimated_cold_start_without_priors_raises():
+    cfg = SimConfig(mode="estimated", warmup_packets=0)
+    with pytest.raises(NoDataError):
+        run_transfer([5], "sos", [make_source(gam(10, 1, seed=1))], cfg)
+    feed = ParamFeed([gam(10, 1)], cfg)  # no windows at all
+    with pytest.raises(NoDataError):
+        feed.snapshot([0])
+
+
+def test_estimated_cold_start_uses_priors():
+    priors = ((4.0, 3.0, 6.0, 1.0), (9.0, 8.0, 11.0, 2.0))
+    cfg = SimConfig(mode="estimated", priors=priors)
+    warm, cold = RollingWindow(10), RollingWindow(10)
+    warm.extend([5.0, 7.0])
+    params, stddevs = ParamFeed([gam(10, 1), gam(12, 5)], cfg, [warm, cold]).snapshot([0, 2])
+    assert (params[0].mu_ms, params[0].a_ms, params[0].b_ms) == (6.0, 5.0, 7.0)
+    assert (params[1].mu_ms, params[1].a_ms, params[1].b_ms) == (9.0, 8.0, 11.0)
+    assert params[1].in_flight == 2
+    assert stddevs == [1.0, 2.0]
+    # the first object is planned from the priors, later ones from the windows
+    sources = [make_source(gam(10, 1, seed=4)), make_source(gam(12, 5, seed=5))]
+    assert len(run_transfer([20, 20], "sos", sources, cfg)) == 2
+
+
+def test_estimated_mode_never_reads_oracle_stats(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimated mode read the true statistics")
+
+    monkeypatch.setattr("sosim.simulator.oracle_stats", refuse)
+    cfg = ExperimentConfig(paths=(gam(5, 3), gam(7, 1)), object_size=10,
+                           replications=3, mode="estimated", warmup_packets=50)
+    delays, _ = _delays_fixed_size(cfg)
+    assert len(delays) == 3
 
 
 def test_fec_transfer_sends_redundancy_and_completes_at_threshold():
