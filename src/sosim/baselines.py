@@ -1,6 +1,10 @@
-"""Per-packet baseline schedulers: EDF and SEDPF.
+"""Greedy baseline schedulers: EDF and SEDPF.
 
-EDF assigns each packet to the path with the earliest expected delivery,
+Both assign packets one at a time, each to the best path given the packets
+already assigned; a call plans a whole object and returns the path of every
+packet in order.
+
+EDF sends each packet to the path with the earliest expected delivery,
 (in_flight + 1) * mean + propagation; it is the optimal greedy rule when
 delays are fixed and known.
 
@@ -13,18 +17,19 @@ path minimizing the expected maximum.
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass, field
-from statistics import NormalDist
+from math import erf, exp, isfinite, sqrt, tau
 
 from .errors import ValidationError
 
-_STD_NORMAL = NormalDist()
+_SQRT2 = sqrt(2.0)
+_SQRT_TAU = sqrt(tau)
 
 
 @dataclass
 class PathQueueState:
-    """Mutable per-path queue view consumed by the baseline assigners."""
+    """Per-path queue view consumed by the baseline assigners."""
 
     in_flight: list[int]
     mean_ms: list[float]
@@ -41,62 +46,96 @@ class PathQueueState:
             self.prop_ms = [0.0] * m
         if not (len(self.mean_ms) == len(self.stddev_ms) == len(self.prop_ms) == m):
             raise ValidationError("per-path lists must have equal length")
+        # A NaN cost compares false both ways, which no greedy order can rank.
+        if not all(map(isfinite, self.mean_ms + self.stddev_ms + self.prop_ms)):
+            raise ValidationError("per-path values must be finite")
 
     def __len__(self) -> int:
         return len(self.in_flight)
 
 
-def edf_assign(state: PathQueueState) -> int:
-    """Index of the path with the earliest expected delivery; ties go low."""
-    best = 0
-    best_cost = math.inf
-    for j in range(len(state)):
-        cost = (state.in_flight[j] + 1) * state.mean_ms[j] + state.prop_ms[j]
-        if cost < best_cost:
-            best, best_cost = j, cost
-    return best
+def edf_assign(state: PathQueueState, n: int) -> tuple[int, ...]:
+    """Paths of n packets, each sent where it is expected earliest; ties go low.
+
+    Path j's k-th further packet costs (in_flight_j + k) * mean_j + prop_j,
+    so the greedy sequence is a heap merge of the per-path cost sequences
+    keyed (cost, j): O(n log m).
+    """
+    mean_ms, prop_ms = state.mean_ms, state.prop_ms
+    heap = [
+        ((u + 1) * mean_ms[j] + prop_ms[j], j, u + 1)
+        for j, u in enumerate(state.in_flight)
+    ]
+    heapq.heapify(heap)
+    order = []
+    for _ in range(n):
+        _, j, load = heap[0]
+        order.append(j)
+        load += 1
+        heapq.heapreplace(heap, (load * mean_ms[j] + prop_ms[j], j, load))
+    return tuple(order)
 
 
 def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
-    """Moment-matched mean and variance of max(X, Y) for independent Gaussians."""
+    """Moment-matched mean and variance of max(X, Y) for independent Gaussians.
+
+    The standard normal cdf and pdf are written out; they are the same float
+    operations as `statistics.NormalDist().cdf/pdf`.
+    """
     a2 = v1 + v2
     if a2 <= 0.0:
         return (m1, v1) if m1 >= m2 else (m2, v2)
-    a = math.sqrt(a2)
+    a = sqrt(a2)
     alpha = (m1 - m2) / a
-    cdf = _STD_NORMAL.cdf(alpha)
-    pdf = _STD_NORMAL.pdf(alpha)
-    mean = m1 * cdf + m2 * (1.0 - cdf) + a * pdf
-    second = (m1 * m1 + v1) * cdf + (m2 * m2 + v2) * (1.0 - cdf) + (m1 + m2) * a * pdf
-    return mean, max(second - mean * mean, 0.0)
+    cdf = 0.5 * (1.0 + erf(alpha / _SQRT2))
+    ccdf = 1.0 - cdf
+    pdf = exp(alpha * alpha / -2.0) / _SQRT_TAU
+    mean = m1 * cdf + m2 * ccdf + a * pdf
+    second = (m1 * m1 + v1) * cdf + (m2 * m2 + v2) * ccdf + (m1 + m2) * a * pdf
+    var = second - mean * mean
+    return mean, (0.0 if 0.0 > var else var)  # same as max(var, 0.0), -0.0 and NaN too
 
 
-def expected_max(means, variances) -> float:
-    """Expected maximum of independent Gaussians, folded pairwise in order."""
-    mean, var = means[0], variances[0]
-    for m2, v2 in zip(means[1:], variances[1:]):
-        mean, var = clark_max(mean, var, m2, v2)
-    return mean
+def sedpf_assign(state: PathQueueState, n: int) -> tuple[int, ...]:
+    """Paths of n packets, each sent to the candidate minimizing the expected
+    max delivery time over all paths.
 
-
-def sedpf_assign(state: PathQueueState) -> int:
-    """Candidate path minimizing the expected max delivery time over all paths.
-
-    Ties are broken first by the EDF cost and then by index, so the all-zero
-    stddev case reduces to edf_assign exactly.
+    Each candidate's Clark fold runs in path order.  Candidates share the
+    fold of the paths before them, so one packet costs m(m-1)/2 + 2m - 3
+    `clark_max` calls instead of m(m-1).  Ties are broken first by the EDF
+    cost and then by index, so the all-zero stddev case reduces to
+    edf_assign exactly.
     """
     m = len(state)
-    best = 0
-    best_key: tuple[float, float] | None = None
-    for cand in range(m):
-        means = []
-        variances = []
-        for j in range(m):
-            load = state.in_flight[j] + (1 if j == cand else 0)
-            means.append(load * state.mean_ms[j] + state.prop_ms[j])
-            variances.append(load * state.stddev_ms[j] ** 2)
-        edf_cost = (state.in_flight[cand] + 1) * state.mean_ms[cand] + state.prop_ms[cand]
-        key = (expected_max(means, variances), edf_cost)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    mean_ms, prop_ms = state.mean_ms, state.prop_ms
+    var_ms = [s ** 2 for s in state.stddev_ms]
+    loads = list(state.in_flight)
+    means = [u * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
+    variances = [u * v for u, v in zip(loads, var_ms)]
+    order = []
+    for _ in range(n):
+        best = 0
+        best_key: tuple[float, float] | None = None
+        for cand in range(m):
+            load = loads[cand] + 1
+            cand_mean = load * mean_ms[cand] + prop_ms[cand]  # also its EDF cost
+            cand_var = load * var_ms[cand]
+            if cand == 0:
+                mean, var = cand_mean, cand_var
+            else:
+                mean, var = clark_max(pre_mean, pre_var, cand_mean, cand_var)
+            for m2, v2 in zip(means[cand + 1 :], variances[cand + 1 :]):
+                mean, var = clark_max(mean, var, m2, v2)
+            key = (mean, cand_mean)
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
+            # fold of paths 0..cand for the next candidate (none after the last)
+            if cand == 0:
+                pre_mean, pre_var = means[0], variances[0]
+            elif cand + 1 < m:
+                pre_mean, pre_var = clark_max(pre_mean, pre_var, means[cand], variances[cand])
+        order.append(best)
+        loads[best] = u = loads[best] + 1
+        means[best] = u * mean_ms[best] + prop_ms[best]
+        variances[best] = u * var_ms[best]
+    return tuple(order)

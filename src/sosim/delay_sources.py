@@ -38,8 +38,9 @@ class DelaySourceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown delay source kind {self.kind!r}")
-        if self.mean_ms < 0 or self.stddev_ms < 0 or self.propagation_ms < 0:
-            raise ConfigError("delay source parameters must be nonnegative")
+        values = (self.mean_ms, self.stddev_ms, self.propagation_ms)
+        if not all(math.isfinite(x) and x >= 0 for x in values):
+            raise ConfigError("delay source parameters must be finite and nonnegative")
         if self.kind == "gamma" and (self.mean_ms <= 0 or self.stddev_ms <= 0):
             raise ConfigError("gamma sources need mean_ms > 0 and stddev_ms > 0")
         if self.kind == "trace" and self.trace_path is None:

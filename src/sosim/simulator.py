@@ -4,7 +4,7 @@ Each path is a serial server: packets queue per path, consume one
 inter-packet delay sample per service in dispatch order, and are delivered
 one propagation delay after service ends.  The sender observes a delivery
 after a configurable ACK return time; inter-packet gaps measured between
-back-to-back services feed the rolling estimation windows.
+back-to-back services feed the rolling estimation windows in estimated mode.
 
 Events are processed in nondecreasing time with a fixed lexicographic
 tie-break (time, kind, path, insertion order), so identical configurations
@@ -148,14 +148,11 @@ class _GreedyPolicy:
             stddev_ms=list(stddevs),
             prop_ms=[p.prop_ms for p in params],
         )
+        order = type(self).assign(state, n)
         counts = [0] * len(params)
-        order = []
-        for _ in range(n):
-            j = type(self).assign(state)
-            order.append(j)
+        for j in order:
             counts[j] += 1
-            state.in_flight[j] += 1
-        return Plan(tuple(counts), n, order=tuple(order))
+        return Plan(tuple(counts), n, order=order)
 
 
 class EdfPolicy(_GreedyPolicy):
@@ -362,7 +359,12 @@ class Simulation:
             raise ConfigError("need at least one path")
         self.config = config
         self.lanes = [_Lane(src) for src in sources]
-        self.windows = [RollingWindow(config.window_capacity) for _ in sources]
+        # Only estimated mode reads the ACK gaps; oracle runs keep no windows.
+        self.windows = (
+            [RollingWindow(config.window_capacity) for _ in sources]
+            if config.mode == "estimated"
+            else None
+        )
         self.clock = 0.0
         self._heap: list = []
         self._counter = itertools.count()
@@ -431,7 +433,7 @@ class Simulation:
         end = now + gap
         lane.serving = True
         # A gap is a valid inter-ACK sample only between back-to-back services.
-        recorded = gap if continuation else None
+        recorded = gap if continuation and self.windows is not None else None
         self.schedule(end, KIND_SERVER_FREE, j)
         self.schedule(end + lane.prop_ms, KIND_DELIVERED, j, (obj, seq, recorded))
         obj.unserved -= 1

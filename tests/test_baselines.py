@@ -1,11 +1,19 @@
-"""Tests for the EDF and SEDPF per-packet baselines."""
+"""Tests for the EDF and SEDPF plan-level baselines."""
 
 from __future__ import annotations
 
+import math
+import struct
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sosim.baselines import PathQueueState, clark_max, edf_assign, expected_max, sedpf_assign
+import sosim.baselines as baselines
+from sosim.baselines import PathQueueState, clark_max, edf_assign, sedpf_assign
+from sosim.errors import ValidationError
 
 
 def state(in_flight, means, stds=None, props=None):
@@ -17,71 +25,206 @@ def state(in_flight, means, stds=None, props=None):
     )
 
 
+# ---------------------------------------------------------------------------
+# Per-packet reference: the greedy rules one packet at a time, with the Clark
+# fold over statistics.NormalDist.
+
+_STD_NORMAL = NormalDist()
+
+
+def ref_clark_max(m1, v1, m2, v2):
+    a2 = v1 + v2
+    if a2 <= 0.0:
+        return (m1, v1) if m1 >= m2 else (m2, v2)
+    a = math.sqrt(a2)
+    alpha = (m1 - m2) / a
+    cdf = _STD_NORMAL.cdf(alpha)
+    pdf = _STD_NORMAL.pdf(alpha)
+    mean = m1 * cdf + m2 * (1.0 - cdf) + a * pdf
+    second = (m1 * m1 + v1) * cdf + (m2 * m2 + v2) * (1.0 - cdf) + (m1 + m2) * a * pdf
+    return mean, max(second - mean * mean, 0.0)
+
+
+def ref_edf_one(s):
+    best = 0
+    best_cost = math.inf
+    for j in range(len(s)):
+        cost = (s.in_flight[j] + 1) * s.mean_ms[j] + s.prop_ms[j]
+        if cost < best_cost:
+            best, best_cost = j, cost
+    return best
+
+
+def ref_sedpf_one(s):
+    m = len(s)
+    best = 0
+    best_key = None
+    for cand in range(m):
+        means = []
+        variances = []
+        for j in range(m):
+            load = s.in_flight[j] + (1 if j == cand else 0)
+            means.append(load * s.mean_ms[j] + s.prop_ms[j])
+            variances.append(load * s.stddev_ms[j] ** 2)
+        mean, var = means[0], variances[0]
+        for m2, v2 in zip(means[1:], variances[1:]):
+            mean, var = ref_clark_max(mean, var, m2, v2)
+        edf_cost = (s.in_flight[cand] + 1) * s.mean_ms[cand] + s.prop_ms[cand]
+        key = (mean, edf_cost)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return best
+
+
+def ref_plan(assign_one, s, n):
+    s = state(s.in_flight, s.mean_ms, s.stddev_ms, s.prop_ms)
+    order = []
+    for _ in range(n):
+        j = assign_one(s)
+        order.append(j)
+        s.in_flight[j] += 1
+    return tuple(order)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# ---------------------------------------------------------------------------
+# Greedy rules
+
+
 def test_edf_prefers_smaller_mean():
-    assert edf_assign(state([0, 0], [10.0, 12.0])) == 0
+    assert edf_assign(state([0, 0], [10.0, 12.0]), 1)[0] == 0
 
 
 def test_edf_accounts_for_backlog():
-    assert edf_assign(state([1, 0], [10.0, 12.0])) == 1  # 20 vs 12
+    assert edf_assign(state([1, 0], [10.0, 12.0]), 1)[0] == 1  # 20 vs 12
 
 
 def test_edf_tie_breaks_low_index():
-    assert edf_assign(state([0, 0], [7.0, 7.0])) == 0
+    assert edf_assign(state([0, 0], [7.0, 7.0]), 1)[0] == 0
 
 
 def test_edf_includes_propagation():
-    assert edf_assign(state([0, 0], [10.0, 10.0], props=[5.0, 0.0])) == 1
+    assert edf_assign(state([0, 0], [10.0, 10.0], props=[5.0, 0.0]), 1)[0] == 1
 
 
 def test_edf_balances_load():
     means = [2.0, 5.0, 9.0]
-    st = state([0, 0, 0], means)
-    for _ in range(500):
-        j = edf_assign(st)
-        st.in_flight[j] += 1
-    loads = [u * m for u, m in zip(st.in_flight, means)]
+    order = edf_assign(state([0, 0, 0], means), 500)
+    assert len(order) == 500
+    loads = [order.count(j) * m for j, m in enumerate(means)]
     assert max(loads) - min(loads) <= max(means)
 
 
 def test_sedpf_single_path():
-    assert sedpf_assign(state([3], [10.0], [4.0])) == 0
+    assert sedpf_assign(state([3], [10.0], [4.0]), 1)[0] == 0
 
 
 def test_sedpf_avoids_highly_variable_path_for_single_packet():
     # stable-but-slower path wins when the fast path fluctuates wildly
-    assert sedpf_assign(state([0, 0], [10.0, 12.0], [50.0, 1.0])) == 1
+    assert sedpf_assign(state([0, 0], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 1
 
 
 def test_sedpf_uses_variable_path_under_backlog():
     # with a deep queue on the stable path the variable one becomes attractive
-    assert sedpf_assign(state([0, 20], [10.0, 12.0], [50.0, 1.0])) == 0
+    assert sedpf_assign(state([0, 20], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 0
 
 
 def test_sedpf_reduces_to_edf_without_variance():
     rng = np.random.default_rng(31)
     for _ in range(200):
         m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 30))
         st_a = state(
             [int(x) for x in rng.integers(0, 20, size=m)],
             [float(x) for x in rng.uniform(0.0, 20, size=m)],
             [0.0] * m,
             [float(x) for x in rng.uniform(0, 5, size=m)],
         )
-        assert sedpf_assign(st_a) == edf_assign(st_a)
+        assert sedpf_assign(st_a, n) == edf_assign(st_a, n)
 
 
 def test_sedpf_edf_agree_on_backlog_masked_candidates():
     # a huge third-path backlog dominates both candidates' maxima; the tie
     # must still resolve the way EDF does
-    st = state([0, 0, 1], [6.0, 5.0, 100.0], [0.0, 0.0, 0.0])
-    assert edf_assign(st) == 1
-    assert sedpf_assign(st) == 1
+    st_a = state([0, 0, 1], [6.0, 5.0, 100.0], [0.0, 0.0, 0.0])
+    assert edf_assign(st_a, 1)[0] == 1
+    assert sedpf_assign(st_a, 1)[0] == 1
+
+
+@pytest.mark.parametrize("field", ["means", "stds", "props"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_path_values_rejected(field, value):
+    lists = {"means": [1.0, 2.0], "stds": [1.0, 1.0], "props": [0.0, 1.0]}
+    lists[field][0] = value
+    with pytest.raises(ValidationError):
+        state([0, 0], lists["means"], lists["stds"], lists["props"])
 
 
 def test_assigners_are_deterministic():
-    st = state([2, 1], [3.0, 4.0], [1.0, 2.0])
-    assert all(sedpf_assign(st) == sedpf_assign(st) for _ in range(5))
-    assert all(edf_assign(st) == edf_assign(st) for _ in range(5))
+    st_a = state([2, 1], [3.0, 4.0], [1.0, 2.0])
+    assert all(sedpf_assign(st_a, 5) == sedpf_assign(st_a, 5) for _ in range(5))
+    assert all(edf_assign(st_a, 5) == edf_assign(st_a, 5) for _ in range(5))
+
+
+# ---------------------------------------------------------------------------
+# Plan-level assignment against the per-packet reference
+
+
+@st.composite
+def queue_states(draw):
+    """Random path views; a third force ties through repeated integer-valued
+    paths, and some of those have all-zero stddevs."""
+    m = draw(st.integers(1, 9))
+    m = 16 if m == 9 else m
+    if draw(st.integers(0, 2)) == 0:
+        paths = [(1.0, 0.0, 0.0), (1.0, 2.0, 0.0), (2.0, 1.0, 1.0), (3.0, 0.0, 2.0)]
+        picks = draw(st.lists(st.sampled_from(paths), min_size=m, max_size=m))
+        zero_std = draw(st.booleans())
+        return state(
+            draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+            [mean for mean, _, _ in picks],
+            [0.0 if zero_std else std for _, std, _ in picks],
+            [prop for _, _, prop in picks],
+        )
+    size = {"min_size": m, "max_size": m}
+    return state(
+        draw(st.lists(st.integers(0, 30), **size)),
+        draw(st.lists(st.floats(0.1, 20.0), **size)),
+        draw(st.lists(st.floats(0.0, 50.0), **size)),
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), **size)),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(queue_states(), st.integers(0, 80))
+@example(state([0] * 16, [1.0] * 16, [0.0] * 16), 80)
+@example(state([3, 0, 3, 0] * 4, [2.0, 1.0] * 8, [1.0, 1.0] * 8, [1.0, 2.0] * 8), 40)
+@example(state([0, 0, 0], [5.0, 5.0, 5.0], [2.0, 2.0, 2.0]), 30)
+def test_plans_match_per_packet_reference(s, n):
+    in_flight = list(s.in_flight)
+    assert edf_assign(s, n) == ref_plan(ref_edf_one, s, n)
+    assert sedpf_assign(s, n) == ref_plan(ref_sedpf_one, s, n)
+    assert s.in_flight == in_flight  # the caller's view is left as it was
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16])
+def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return clark_max(*args)
+
+    monkeypatch.setattr(baselines, "clark_max", counted)
+    sedpf_assign(state([0] * m, [1.0 + j for j in range(m)], [2.0] * m), 3)
+    assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# Clark's max of two Gaussians
 
 
 def test_clark_max_degenerate_is_plain_max():
@@ -98,7 +241,26 @@ def test_clark_max_against_monte_carlo():
     assert var == pytest.approx(np.maximum(x, y).var(), rel=0.05)
 
 
-def test_expected_max_fold_is_order_fixed():
-    means = [1.0, 5.0, 3.0]
-    variances = [4.0, 1.0, 9.0]
-    assert expected_max(means, variances) >= max(means)
+def test_clark_max_matches_normaldist_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = [
+        (3.0, 0.0, 5.0, 0.0),
+        (5.0, 0.0, 5.0, 0.0),
+        (-0.0, 0.0, 0.0, 0.0),
+        (4.0, 1.0, 4.0, 1.0),
+        (4.0, 0.0, 9.0, 2.5),
+        (1e6, 1e-300, 0.0, 1e-300),
+        (0.0, 5e-324, 0.0, 5e-324),
+        (1e-9, 1.0, -1e-9, 1.0),
+        (-3.0, 2.0, 250.0, 1e4),
+        (7.0, 1e12, 7.5, 3.0),
+    ]
+    means = rng.uniform(-50.0, 1000.0, size=(4000, 2))
+    variances = rng.uniform(0.0, 2500.0, size=(4000, 2)) * (rng.random((4000, 2)) < 0.9)
+    cases += [(m1, v1, m2, v2) for (m1, m2), (v1, v2) in zip(means.tolist(), variances.tolist())]
+    # alphas near zero, where the two cdfs' rounding is most delicate
+    close = rng.uniform(0.0, 100.0, size=2000).tolist()
+    cases += [(x, 1.0, x + d, 1.5) for x, d in zip(close, rng.normal(0.0, 0.5, size=2000).tolist())]
+    for case in cases:
+        got, want = clark_max(*case), ref_clark_max(*case)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want], case

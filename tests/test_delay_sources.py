@@ -67,6 +67,13 @@ def test_unknown_kind_rejected():
         DelaySourceSpec(kind="uniform", mean_ms=1.0)
 
 
+@pytest.mark.parametrize("field", ["mean_ms", "stddev_ms", "propagation_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_spec_rejected(field, value):
+    with pytest.raises(ConfigError):
+        DelaySourceSpec(kind="deterministic", **{field: value})
+
+
 def test_trace_wraparound(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0,2.5\n1,3.0\n")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import replace
 
 import pytest
 
+from sosim import delay_sources
 from sosim.cli import main
 from sosim.delay_sources import DelaySourceSpec
 from sosim.errors import ConfigError, DomainError, UsageError
@@ -197,6 +199,33 @@ def test_parse_config_requires_paths(tmp_path):
     f.write_text("object_size = 5\n")
     with pytest.raises(ConfigError):
         parse_config(f)
+
+
+@pytest.mark.parametrize("scheduler, row", [
+    ("sos", "x,29.8598,32.451,0,,"),
+    ("sedpf", "x,29.1752,32.451,0,,"),
+])
+def test_oracle_page_experiment_parses_each_trace_twice(tmp_path, monkeypatch, scheduler, row):
+    # once to build the source and once for its true statistics, however
+    # many replications run
+    paths = []
+    for j, step in enumerate((3, 7)):
+        trace = tmp_path / f"trace{j}.csv"
+        trace.write_text("seq,delay_ms\n" + "".join(
+            f"{i},{2.0 + j + (i * step) % 11 * 0.37 + (i % 3) * 0.013}\n" for i in range(300)
+        ))
+        paths.append(DelaySourceSpec(kind="trace", trace_path=str(trace), propagation_ms=1.0 * j))
+    page = tmp_path / "page.csv"
+    page.write_text("html,8,1,c1,1,t0\nimg,5,0,c2,0,dep:html:2\ncss,3,1,c1,1,dep:html:4\n")
+    parses = []
+    parse = delay_sources._parse_trace
+    monkeypatch.setattr(delay_sources, "_parse_trace", lambda p: parses.append(p) or parse(p))
+    config = ExperimentConfig(paths=tuple(paths), scheduler=scheduler, page_spec=page,
+                              replications=5, seed=3, label="x")
+    out = io.StringIO()
+    write_csv([run_experiment(config)], out)
+    assert len(parses) == 4
+    assert out.getvalue().splitlines()[1] == row
 
 
 # -- CLI ---------------------------------------------------------------------

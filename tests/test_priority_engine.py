@@ -92,6 +92,25 @@ def test_page_metrics_missing_record():
         page_metrics([], [ObjectSpec("a", 1, priority=1)])
 
 
+@pytest.mark.parametrize(
+    "scheduler, img_completion_ms, img_sent",
+    [("sos", 35.03790376456995, (3, 2)), ("sedpf", 38.985748877345564, (2, 3))],
+)
+def test_oracle_run_keeps_no_windows(scheduler, img_completion_ms, img_sent):
+    # oracle mode never reads ACK gaps, so the engine keeps no windows
+    specs = [
+        ObjectSpec("html", 6, priority=1, connection_id="c1"),
+        ObjectSpec("img", 5, priority=0, connection_id="c2", trigger=Trigger.dep("html", 2)),
+    ]
+    engine = PriorityEngine(specs, sources(gam(5, 2, seed=1), gam(7, 3, seed=2)), SimConfig(), scheduler)
+    recs = engine.run()
+    assert engine.sim.windows is None
+    assert [(r.object_id, r.start_ms, r.completion_ms, r.sent_per_path) for r in recs] == [
+        ("html", 0.0, 21.330239324162484, (4, 2)),
+        ("img", 7.136412438106708, img_completion_ms, img_sent),
+    ]
+
+
 def test_priority_beats_fifo_on_markup_page():
     specs = [
         ObjectSpec("html", 2, priority=1, connection_id="c1", chunked=True),
