@@ -18,9 +18,10 @@ from sosim import (
 EPSILON = 0.05  # overall tail budget, split evenly over the two paths
 eps_j = EPSILON / 2
 
-# Path statistics as the estimator would report them: mean, min, p95.
-fast = PathParams(mu_ms=10.0, a_ms=2.0, b_ms=35.0, w=compute_w(eps_j, 2.0, 35.0))
-steady = PathParams(mu_ms=12.0, a_ms=9.0, b_ms=15.0, w=compute_w(eps_j, 9.0, 15.0))
+# Hand-built paths: a mean delay and a known delay range [a, b] per path,
+# weighted with Hoeffding's form over that range.
+fast = PathParams(mu_ms=10.0, w=compute_w(eps_j, 2.0, 35.0))
+steady = PathParams(mu_ms=12.0, w=compute_w(eps_j, 9.0, 15.0))
 print(f"variability weights: fast w={fast.w:.2f}, steady w={steady.w:.2f}")
 
 for n in (1, 10, 100, 1000):

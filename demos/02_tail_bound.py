@@ -15,7 +15,7 @@ N_OBJECTS = 20_000
 rng = np.random.default_rng(2)
 ranges = [(1.0, 5.0), (2.0, 4.0)]
 paths = [
-    PathParams(mu_ms=(a + b) / 2, a_ms=a, b_ms=b, w=compute_w(EPSILON / 2, a, b))
+    PathParams(mu_ms=(a + b) / 2, w=compute_w(EPSILON / 2, a, b))
     for a, b in ranges
 ]
 

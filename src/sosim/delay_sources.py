@@ -9,16 +9,13 @@ can run on finite traces.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from .errors import ConfigError, ParseError, ValidationError
-from .estimation import nearest_rank
 
 KINDS = ("deterministic", "gamma", "trace")
 _REFILL = 4096
@@ -156,36 +153,16 @@ def make_source(spec: DelaySourceSpec) -> DelaySource:
     return TraceSource(_parse_trace(Path(spec.trace_path)), spec)
 
 
-@functools.lru_cache(maxsize=1024)
-def _gamma_quantiles(mean_ms: float, stddev_ms: float, window: int) -> tuple[float, float]:
-    """(1/(window+1) quantile, 0.95 quantile) of the moment-matched gamma."""
-    shape = (mean_ms / stddev_ms) ** 2
-    scale = stddev_ms**2 / mean_ms
-    dist = scipy.stats.gamma(shape, scale=scale)
-    return float(dist.ppf(1.0 / (window + 1))), float(dist.ppf(0.95))
+def oracle_stats(spec: DelaySourceSpec) -> tuple[float, float]:
+    """Population (mean, stddev) of a path's delay process.
 
-
-def oracle_stats(
-    spec: DelaySourceSpec, window: int = 5000
-) -> tuple[float, float, float, float]:
-    """Population (mean, min, p95, stddev) matching the windowed estimator.
-
-    For gamma kinds the p95 is the analytic quantile and the minimum is the
-    population analog of a size-`window` sample minimum (the 1/(window+1)
-    quantile), so estimated-mode parameters converge to these after warm-up.
-    The gamma quantiles are memoized on (mean, stddev, window), so specs
-    that differ only in seed share them.  Trace statistics are taken over
-    the whole file, which is read again on every call.
+    These are what the windowed estimator converges to after warm-up.  Trace
+    statistics are taken over the whole file, which is read again on every
+    call.
     """
     if spec.kind == "deterministic":
-        return spec.mean_ms, spec.mean_ms, spec.mean_ms, 0.0
+        return spec.mean_ms, 0.0
     if spec.kind == "gamma":
-        a, b = _gamma_quantiles(spec.mean_ms, spec.stddev_ms, window)
-        return spec.mean_ms, a, b, spec.stddev_ms
+        return spec.mean_ms, spec.stddev_ms
     samples = np.asarray(_parse_trace(Path(spec.trace_path)))
-    return (
-        float(samples.mean()),
-        float(samples.min()),
-        nearest_rank(samples, 0.95),
-        float(samples.std()),
-    )
+    return float(samples.mean()), float(samples.std())

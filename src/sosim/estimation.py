@@ -2,10 +2,9 @@
 
 The sender watches inter-packet delivery gaps (one per ACK) and keeps the
 last `capacity` samples per path.  A snapshot turns the window into the
-parameters the schedulers consume: mean, minimum, 95th percentile
-(nearest-rank) and the variability weight w, which comes from the window's
-standard deviation alone (sub-Gaussian Chernoff form, see
-:func:`~sosim.scheduler_core.variance_w`).
+parameters the schedulers consume: the mean and the variability weight w,
+which comes from the window's standard deviation alone (sub-Gaussian
+Chernoff form, see :func:`~sosim.scheduler_core.variance_w`).
 """
 
 from __future__ import annotations
@@ -95,12 +94,6 @@ class RollingWindow:
     def mean(self) -> float:
         return float(self.as_array().mean())
 
-    def minimum(self) -> float:
-        return float(self.as_array().min())
-
-    def percentile(self, p: float = 0.95) -> float:
-        return nearest_rank(self.as_array(), p)
-
     def stddev(self) -> float:
         """Population standard deviation, kept until the next write."""
         if self._std is None:
@@ -114,21 +107,15 @@ def snapshot_params(
     prop_ms: float = 0.0,
     in_flight: int = 0,
 ) -> PathParams:
-    """Pure function of the window contents: (mean, min, p95) plus the w weight.
+    """Pure function of the window contents: the mean and the w weight.
 
-    w is :func:`variance_w` of the window's (population) standard deviation;
-    the minimum and p95 are reported in `a_ms`/`b_ms` but do not feed w.
+    w is :func:`variance_w` of the window's (population) standard deviation,
+    the cached :meth:`RollingWindow.stddev`.
     """
     if len(window) == 0:
         raise NoDataError("cannot snapshot an empty window; supply priors instead")
-    arr = window.as_array()
-    mu = float(arr.mean())
-    a = float(arr.min())
-    b = nearest_rank(arr, 0.95)
     return PathParams(
-        mu_ms=mu,
-        a_ms=a,
-        b_ms=b,
+        mu_ms=window.mean(),
         w=variance_w(epsilon_j, window.stddev()),
         prop_ms=prop_ms,
         in_flight=in_flight,

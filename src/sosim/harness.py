@@ -158,7 +158,7 @@ def _delays_page(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     if config.mode == "oracle":
         # The true statistics are the same for every replication; computing
         # them once here spares each run's ParamFeed a trace-file parse.
-        priors = tuple(oracle_stats(s, sim_cfg.window_capacity) for s in specs)
+        priors = tuple(oracle_stats(s) for s in specs)
         sim_cfg = replace(sim_cfg, priors=priors)
     delays = np.empty(config.replications)
     sent = 0

@@ -1,10 +1,10 @@
 """Split optimization for multipath object transmission.
 
 An object of n packets is divided across m paths.  Path j is summarized by
-:class:`PathParams`: mean inter-packet delay mu, observed delay bounds
-[a, b], the variability weight w, a fixed propagation delay, and the
-in-flight backlog u.  Sending x new packets on a path that already carries u
-is, with high probability, finished within
+:class:`PathParams`: mean inter-packet delay mu, the variability weight w,
+a fixed propagation delay, and the in-flight backlog u.  Sending x new
+packets on a path that already carries u is, with high probability,
+finished within
 
     t_upper(x) = (x + u) * mu + sqrt(x + u) * w
 
@@ -41,19 +41,18 @@ class PathParams:
     """Per-path delay statistics consumed by every scheduling decision."""
 
     mu_ms: float
-    a_ms: float
-    b_ms: float
     w: float
     prop_ms: float = 0.0
     in_flight: int = 0
 
     def __post_init__(self):
-        if self.mu_ms < 0 or self.a_ms < 0 or self.b_ms < 0 or self.prop_ms < 0:
-            raise ValidationError("path parameters must be nonnegative")
-        if self.a_ms > self.b_ms:
-            raise ValidationError(f"lower bound {self.a_ms} exceeds upper bound {self.b_ms}")
-        if self.w < 0:
-            raise ValidationError("variability weight w must be nonnegative")
+        # NaN fails every comparison, so `0 <= x < inf` refuses it too.
+        inf = math.inf
+        if not (0.0 <= self.mu_ms < inf and 0.0 <= self.w < inf and 0.0 <= self.prop_ms < inf):
+            raise ValidationError(
+                f"path parameters mu_ms={self.mu_ms}, w={self.w}, prop_ms={self.prop_ms} "
+                "must be finite and nonnegative"
+            )
         if self.in_flight < 0:
             raise ValidationError("in-flight count must be nonnegative")
 

@@ -53,7 +53,10 @@ class SimConfig:
     mode: str = "oracle"  # oracle | estimated
     warmup_packets: int = 0
     window_capacity: int = 5000
-    priors: tuple | None = None  # per-path (mu, a, b, stddev) for cold starts; w uses stddev only
+    # Per-path (mean, stddev) for cold starts.  The older (mean, a, b, stddev)
+    # form is still read, its middle entries ignored, until every caller
+    # passes pairs.
+    priors: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -62,6 +65,20 @@ class SimConfig:
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
         if self.ack_return_ms < 0:
             raise ConfigError("ack_return_ms must be nonnegative")
+        if self.priors is not None:
+            object.__setattr__(self, "priors", tuple(_prior(p) for p in self.priors))
+
+
+def _prior(entry) -> tuple[float, float]:
+    """(mean, stddev) of one prior, given as a 2-tuple or a 4-tuple."""
+    if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 4):
+        raise ConfigError(f"prior {entry!r} is not a (mean, stddev) pair")
+    mean, stddev = entry[0], entry[-1]
+    if not (0.0 <= mean < math.inf and 0.0 <= stddev < math.inf):
+        raise ConfigError(
+            f"prior mean {mean} and stddev {stddev} must be finite and nonnegative"
+        )
+    return mean, stddev
 
 
 @dataclass(frozen=True)
@@ -223,9 +240,9 @@ class ParamFeed:
         if config.priors is not None:
             if len(config.priors) != m:
                 raise ConfigError("need one prior tuple per path")
-            self._known = [tuple(p) for p in config.priors]
+            self._known = list(config.priors)
         elif config.mode == "oracle":
-            self._known = [oracle_stats(s, config.window_capacity) for s in self.specs]
+            self._known = [oracle_stats(s) for s in self.specs]
 
     def warmup(self, sources, count: int) -> None:
         """Prime the windows with a continuous packet stream per path."""
@@ -251,12 +268,10 @@ class ParamFeed:
                     f"estimated mode: path {j} has no window samples and no priors"
                 )
             else:
-                mu, a, b, sigma = self._known[j]
+                mu, sigma = self._known[j]
                 params.append(
                     PathParams(
                         mu_ms=mu,
-                        a_ms=a,
-                        b_ms=b,
                         w=variance_w(self.epsilon_j, sigma),
                         prop_ms=spec.propagation_ms,
                         in_flight=u,

@@ -46,8 +46,6 @@ def random_two_paths(rng) -> list[PathParams]:
     return [
         PathParams(
             mu_ms=float(rng.uniform(0.1, 100)),
-            a_ms=0.0,
-            b_ms=100.0,
             w=float(rng.uniform(0, 100)),
             prop_ms=float(rng.uniform(0, 50)),
         )
@@ -85,8 +83,6 @@ def test_criterion_02_wardrop_equalization():
         paths = [
             PathParams(
                 mu_ms=float(rng.uniform(0.1, 20)),
-                a_ms=0.0,
-                b_ms=50.0,
                 w=float(rng.uniform(0, 30)),
                 prop_ms=float(rng.uniform(0, 2)),
             )
@@ -129,9 +125,7 @@ def test_criterion_04_tail_guarantee():
     bounds = [(1.0, 5.0), (2.0, 4.0)]
     eps_j = EPSILON / 2
     paths = [
-        PathParams(
-            mu_ms=(a + b) / 2, a_ms=a, b_ms=b, w=compute_w(eps_j, a, b), prop_ms=0.0
-        )
+        PathParams(mu_ms=(a + b) / 2, w=compute_w(eps_j, a, b), prop_ms=0.0)
         for a, b in bounds
     ]
     split = solve_integer(n, paths)
@@ -293,8 +287,6 @@ def test_criterion_08_fec_never_hurts():
         paths = [
             PathParams(
                 mu_ms=float(rng.uniform(0.1, 50)),
-                a_ms=0.0,
-                b_ms=100.0,
                 w=float(rng.uniform(0, 80)),
                 prop_ms=float(rng.uniform(0, 20)),
             )

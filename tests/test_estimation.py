@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sosim.errors import NoDataError, ValidationError
 from sosim.estimation import RollingWindow, nearest_rank, snapshot_params
+from sosim.scheduler_core import variance_w
 
 
 def test_record_appends():
@@ -32,7 +33,7 @@ def test_default_capacity_keeps_last_5000():
     for x in range(5001):
         w.record(float(x))
     assert len(w) == 5000
-    assert w.minimum() == 1.0  # sample 0 evicted
+    assert w.as_array().min() == 1.0  # sample 0 evicted
 
 
 def test_negative_sample_rejected():
@@ -75,14 +76,15 @@ def test_snapshot_constant_window():
     for _ in range(3):
         w.record(10.0)
     p = snapshot_params(w, 0.025)
-    assert (p.mu_ms, p.a_ms, p.b_ms, p.w) == (10.0, 10.0, 10.0, 0.0)
+    assert (p.mu_ms, p.w) == (10.0, 0.0)
 
 
 def test_snapshot_nearest_rank_p95():
     w = RollingWindow(200)
     w.extend(range(1, 101))
-    assert w.percentile(0.95) == 95.0
-    assert snapshot_params(w, 0.05).b_ms == 95.0
+    assert nearest_rank(w.as_array(), 0.95) == 95.0
+    assert nearest_rank(w.as_array(), 0.05) == 5.0
+    assert snapshot_params(w, 0.05).mu_ms == 50.5
 
 
 def test_snapshot_empty_window_errors():
@@ -96,7 +98,7 @@ def test_snapshot_gamma_monte_carlo():
     w.extend(rng.gamma(100.0, 0.1, size=100_000))  # mean 10, stddev 1
     p = snapshot_params(w, 0.025)
     assert p.mu_ms == pytest.approx(10.0, rel=0.01)
-    assert p.a_ms < 10.0 < p.b_ms
+    assert p.w == pytest.approx(variance_w(0.025, 1.0), rel=0.02)
 
 
 def test_snapshot_is_pure():
@@ -121,9 +123,9 @@ def test_only_last_capacity_samples_matter():
 def test_percentile_monotone_under_large_insert(samples, bump):
     w = RollingWindow(1000)
     w.extend(samples)
-    before = w.percentile(0.95)
+    before = nearest_rank(w.as_array(), 0.95)
     w.record(max(samples) + bump)
-    assert w.percentile(0.95) >= before
+    assert nearest_rank(w.as_array(), 0.95) >= before
 
 
 def test_nearest_rank_bounds():
@@ -164,6 +166,6 @@ def test_ring_buffer_matches_deque(capacity, writes):
         assert w.as_array().tolist() == list(ref)
         assert w.mean() == float(arr.mean())
         assert w.stddev() == float(arr.std())
-        assert w.minimum() == float(arr.min())
+        assert w.as_array().min() == float(arr.min())
         rank = max(0, math.ceil(0.95 * len(arr)) - 1)
-        assert w.percentile(0.95) == float(np.sort(arr)[rank])
+        assert nearest_rank(w.as_array(), 0.95) == float(np.sort(arr)[rank])

@@ -12,7 +12,7 @@ from sosim.simulator import completion_time
 
 
 def path(mu, w, prop=0.0):
-    return PathParams(mu_ms=mu, a_ms=0.0, b_ms=max(mu, 1.0), w=w, prop_ms=prop)
+    return PathParams(mu_ms=mu, w=w, prop_ms=prop)
 
 
 # a wildly variable fast path next to a stable slower one
@@ -53,8 +53,8 @@ def test_deltas_nonnegative_random():
         gamma = float(rng.uniform(0, 1))
         paths = [
             PathParams(
-                float(rng.uniform(0.1, 50)), 0.0, 100.0,
-                float(rng.uniform(0, 80)), prop_ms=float(rng.uniform(0, 20)),
+                float(rng.uniform(0.1, 50)), float(rng.uniform(0, 80)),
+                prop_ms=float(rng.uniform(0, 20)),
             )
             for _ in range(m)
         ]
@@ -72,7 +72,7 @@ def test_per_path_resolve_matches_direct_solve():
         n = int(rng.integers(1, 100))
         gamma = float(rng.uniform(0, 0.99))
         paths = [
-            PathParams(float(rng.uniform(0.5, 20)), 0.0, 50.0, float(rng.uniform(0, 40)))
+            PathParams(float(rng.uniform(0.5, 20)), float(rng.uniform(0, 40)))
             for _ in range(2)
         ]
         alloc = solve_fec_split(n, paths, gamma)

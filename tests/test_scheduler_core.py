@@ -26,7 +26,7 @@ from sosim.scheduler_core import (
 
 
 def flat_path(mu, w=0.0, prop=0.0, u=0):
-    return PathParams(mu_ms=mu, a_ms=0.0, b_ms=max(mu, 1.0), w=w, prop_ms=prop, in_flight=u)
+    return PathParams(mu_ms=mu, w=w, prop_ms=prop, in_flight=u)
 
 
 def brute_force_two(n, paths):
@@ -119,7 +119,7 @@ def test_t_upper_linear_case():
 
 
 def test_t_upper_hand_value():
-    p = PathParams(10.0, 1.0, 5.0, 5.4324, 0.0)
+    p = PathParams(10.0, 5.4324, 0.0)
     assert t_upper(100, 0, p) == pytest.approx(1054.324)
 
 
@@ -168,7 +168,7 @@ def test_relaxed_skips_unreachable_path():
 
 def test_relaxed_degenerate_error():
     with pytest.raises(DegenerateInputError):
-        solve_relaxed(5, [PathParams(0.0, 0.0, 0.0, 0.0), PathParams(0.0, 0.0, 0.0, 0.0)])
+        solve_relaxed(5, [PathParams(0.0, 0.0), PathParams(0.0, 0.0)])
 
 
 def test_relaxed_wardrop_equalization_random():
@@ -177,8 +177,8 @@ def test_relaxed_wardrop_equalization_random():
         m = int(rng.integers(2, 5))
         paths = [
             PathParams(
-                float(rng.uniform(0.1, 20)), 0.0, 50.0,
-                float(rng.uniform(0, 30)), prop_ms=float(rng.uniform(0, 2)),
+                float(rng.uniform(0.1, 20)), float(rng.uniform(0, 30)),
+                prop_ms=float(rng.uniform(0, 2)),
             )
             for _ in range(m)
         ]
@@ -224,8 +224,8 @@ def test_integer_matches_brute_force_two_paths():
         n = int(rng.integers(1, 201))
         paths = [
             PathParams(
-                float(rng.uniform(0.1, 100)), 0.0, 100.0,
-                float(rng.uniform(0, 100)), prop_ms=float(rng.uniform(0, 50)),
+                float(rng.uniform(0.1, 100)), float(rng.uniform(0, 100)),
+                prop_ms=float(rng.uniform(0, 50)),
             )
             for _ in range(2)
         ]
@@ -269,7 +269,7 @@ def test_integer_rounding_matches_corner_enumeration():
                 # repeat and many corners tie exactly
                 pool = [
                     PathParams(
-                        float(rng.integers(1, 4)), 0.0, 20.0, float(rng.integers(0, 3)),
+                        float(rng.integers(1, 4)), float(rng.integers(0, 3)),
                         prop_ms=float(rng.choice([0, 5])), in_flight=int(rng.choice([0, 0, 2])),
                     )
                     for _ in range(int(rng.integers(1, 3)))
@@ -278,7 +278,7 @@ def test_integer_rounding_matches_corner_enumeration():
             else:
                 paths = [
                     PathParams(
-                        float(rng.uniform(0.5, 10)), 0.0, 20.0, float(rng.uniform(0, 10)),
+                        float(rng.uniform(0.5, 10)), float(rng.uniform(0, 10)),
                         prop_ms=float(rng.uniform(0, 20)), in_flight=int(rng.integers(0, 4)),
                     )
                     for _ in range(m)
@@ -290,7 +290,7 @@ def test_integer_rounding_matches_corner_enumeration():
 def test_integer_rounding_costs_two_evals_m16():
     rng = np.random.default_rng(16)
     paths = [
-        PathParams(float(rng.uniform(2, 20)), 0.0, 60.0, float(rng.uniform(0, 40)))
+        PathParams(float(rng.uniform(2, 20)), float(rng.uniform(0, 40)))
         for _ in range(16)
     ]
     stats = SolveStats(d_upper_evals=5)
@@ -302,8 +302,8 @@ def test_integer_rounding_costs_two_evals_m16():
 def test_integer_monotone_in_n():
     rng = np.random.default_rng(11)
     paths = [
-        PathParams(2.0, 0.0, 10.0, 4.0, prop_ms=1.0),
-        PathParams(5.0, 0.0, 10.0, 1.0, prop_ms=0.0),
+        PathParams(2.0, 4.0, prop_ms=1.0),
+        PathParams(5.0, 1.0, prop_ms=0.0),
     ]
     prev = 0.0
     for n in range(1, 80):
@@ -370,8 +370,25 @@ def test_split_vector_validates_sum():
 
 def test_path_params_validation():
     with pytest.raises(ValidationError):
-        PathParams(1.0, 5.0, 2.0, 0.0)  # a > b
+        PathParams(-1.0, 0.0)
     with pytest.raises(ValidationError):
-        PathParams(-1.0, 0.0, 1.0, 0.0)
+        PathParams(1.0, -2.0)
     with pytest.raises(ValidationError):
-        PathParams(1.0, 0.0, 1.0, -2.0)
+        PathParams(1.0, 0.0, prop_ms=-0.5)
+    with pytest.raises(ValidationError):
+        PathParams(1.0, 0.0, in_flight=-1)
+
+
+@pytest.mark.parametrize("field", ["mu_ms", "w", "prop_ms"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_path_params_non_finite_rejected(field, bad):
+    values = {"mu_ms": 1.0, "w": 1.0, "prop_ms": 0.0, field: bad}
+    with pytest.raises(ValidationError):
+        PathParams(**values)
+
+
+def test_nan_mean_never_reaches_the_solver():
+    # `nan < 0` is false, so a check by `< 0` alone lets this through and the
+    # solver puts all ten packets on the path whose delay is unknown.
+    with pytest.raises(ValidationError):
+        solve_integer(10, [PathParams(math.nan, 1.0), PathParams(5.0, 1.0)])

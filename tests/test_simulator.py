@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import InfeasibleError, NoDataError, UndefinedSizeError
+from sosim.errors import ConfigError, InfeasibleError, NoDataError, UndefinedSizeError
 from sosim.estimation import RollingWindow
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
-from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object
+from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
 from sosim.workloads import ObjectSpec
 from sosim.simulator import (
     LiveObject,
@@ -53,8 +55,8 @@ def test_completion_time_infeasible():
 def test_buffer_size_formula():
     # D_U = 100 across two deterministic paths with means 10 and 20
     paths = [
-        PathParams(10.0, 10.0, 10.0, 0.0),
-        PathParams(20.0, 20.0, 20.0, 0.0),
+        PathParams(10.0, 0.0),
+        PathParams(20.0, 0.0),
     ]
     split = SplitVector((10, 5), 15)
     assert d_upper(split, paths) == pytest.approx(100.0)
@@ -62,12 +64,12 @@ def test_buffer_size_formula():
 
 
 def test_buffer_size_single_path_self_consistency():
-    paths = [PathParams(4.0, 4.0, 4.0, 0.0)]
+    paths = [PathParams(4.0, 0.0)]
     assert receive_buffer_size(SplitVector((7,), 7), paths) == 7
 
 
 def test_buffer_size_zero_mean_errors():
-    paths = [PathParams(0.0, 0.0, 0.0, 1.0), PathParams(1.0, 1.0, 1.0, 0.0)]
+    paths = [PathParams(0.0, 1.0), PathParams(1.0, 0.0)]
     with pytest.raises(UndefinedSizeError):
         receive_buffer_size(SplitVector((1, 1), 2), paths)
 
@@ -85,7 +87,7 @@ def test_serial_deterministic_path():
 def test_one_packet_per_path_is_max_of_delays():
     # force a (1, 1) split through the engine directly
     sim = Simulation([make_source(det(2.0)), make_source(det(5.0))])
-    params = [PathParams(2.0, 2.0, 2.0, 0.0), PathParams(5.0, 5.0, 5.0, 0.0)]
+    params = [PathParams(2.0, 0.0), PathParams(5.0, 0.0)]
     live = LiveObject(ObjectSpec("x", 2), 2, coded=False)
     sim.dispatch(live, Plan((1, 1), 2), params, 0.0)
     sim.run()
@@ -123,7 +125,7 @@ def test_estimated_mode_records_gaps():
     src = make_source(det(3.0))
     cfg = SimConfig(mode="estimated", warmup_packets=0)
     simulation = Simulation([src], cfg)
-    feed_params = [PathParams(3.0, 3.0, 3.0, 0.0)]
+    feed_params = [PathParams(3.0, 0.0)]
     live = LiveObject(ObjectSpec("x", 5), 1, coded=False)
     simulation.dispatch(live, Plan((5,), 5), feed_params, 0.0)
     simulation.run()
@@ -141,18 +143,51 @@ def test_estimated_cold_start_without_priors_raises():
 
 
 def test_estimated_cold_start_uses_priors():
-    priors = ((4.0, 3.0, 6.0, 1.0), (9.0, 8.0, 11.0, 2.0))
+    priors = ((4.0, 1.0), (9.0, 2.0))
     cfg = SimConfig(mode="estimated", priors=priors)
     warm, cold = RollingWindow(10), RollingWindow(10)
     warm.extend([5.0, 7.0])
     params, stddevs = ParamFeed([gam(10, 1), gam(12, 5)], cfg, [warm, cold]).snapshot([0, 2])
-    assert (params[0].mu_ms, params[0].a_ms, params[0].b_ms) == (6.0, 5.0, 7.0)
-    assert (params[1].mu_ms, params[1].a_ms, params[1].b_ms) == (9.0, 8.0, 11.0)
+    # path 0 comes from its window, path 1 from its prior
+    assert (params[0].mu_ms, params[0].w) == (6.0, variance_w(0.025, 1.0))
+    assert (params[1].mu_ms, params[1].w) == (9.0, variance_w(0.025, 2.0))
     assert params[1].in_flight == 2
     assert stddevs == [1.0, 2.0]
     # the first object is planned from the priors, later ones from the windows
     sources = [make_source(gam(10, 1, seed=4)), make_source(gam(12, 5, seed=5))]
     assert len(run_transfer([20, 20], "sos", sources, cfg)) == 2
+
+
+@pytest.mark.parametrize("mode", ["oracle", "estimated"])
+def test_priors_four_tuple_reads_first_and_last(mode):
+    specs = [gam(10, 1, prop=3.0), det(4.0)]
+    pairs = SimConfig(mode=mode, priors=((10.0, 1.5), (4.0, 0.0)))
+    quads = SimConfig(mode=mode, priors=((10.0, 2.0, 99.0, 1.5), (4.0, 4.0, 4.0, 0.0)))
+    assert quads.priors == pairs.priors
+    assert ParamFeed(specs, quads).snapshot([1, 0]) == ParamFeed(specs, pairs).snapshot([1, 0])
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        (1.0,),
+        (1.0, 2.0, 3.0),
+        (1.0, 2.0, 3.0, 4.0, 5.0),
+        5.0,
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (math.inf, 1.0),
+        (1.0, math.inf),
+        (-1.0, 1.0),
+        (1.0, -0.5),
+        (math.nan, 0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0, -1.0),
+    ],
+    ids=repr,
+)
+def test_bad_prior_rejected_at_config(prior):
+    with pytest.raises(ConfigError):
+        SimConfig(priors=((2.0, 1.0), prior))
 
 
 def test_estimated_mode_never_reads_oracle_stats(monkeypatch):
