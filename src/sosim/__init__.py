@@ -7,13 +7,12 @@ simulator with trace replay and synthetic delay sources, priority-aware page
 transmission, and a benchmark harness.
 """
 
-from .baselines import PathQueueState, edf_assign, sedpf_assign
+from .baselines import edf_assign, sedpf_assign
 from .delay_sources import (
     DelaySourceSpec,
     DeterministicSource,
     GammaSource,
     TraceSource,
-    load_trace,
     make_source,
     oracle_stats,
 )
@@ -25,12 +24,11 @@ from .errors import (
     NoDataError,
     ParseError,
     SosimError,
-    UndefinedSizeError,
     UsageError,
     ValidationError,
 )
 from .estimation import RollingWindow, snapshot_params
-from .fec import FecAllocation, decode_threshold, solve_fec_split
+from .fec import FecAllocation, solve_fec_split
 from .harness import (
     ExperimentConfig,
     MetricsRow,
@@ -40,7 +38,7 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .priority_engine import PriorityEngine, page_metrics, run_page
+from .priority_engine import PriorityEngine, run_page
 from .scheduler_core import (
     PathParams,
     SolveStats,
@@ -57,9 +55,7 @@ from .simulator import (
     Plan,
     SimConfig,
     TransferRecord,
-    completion_time,
     make_policy,
-    receive_buffer_size,
     run_transfer,
 )
 from .workloads import (

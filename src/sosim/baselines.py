@@ -2,7 +2,9 @@
 
 Both assign packets one at a time, each to the best path given the packets
 already assigned; a call plans a whole object and returns the path of every
-packet in order.
+packet in order.  Both read the parameter feed's snapshot as it comes: the
+per-path `PathParams` (mean, propagation delay, in-flight backlog) and the
+per-path delay stddevs.
 
 EDF sends each packet to the path with the earliest expected delivery,
 (in_flight + 1) * mean + propagation; it is the optimal greedy rule when
@@ -18,7 +20,6 @@ path minimizing the expected maximum.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from math import erf, exp, isfinite, sqrt, tau
 
 from .errors import ValidationError
@@ -27,44 +28,19 @@ _SQRT2 = sqrt(2.0)
 _SQRT_TAU = sqrt(tau)
 
 
-@dataclass
-class PathQueueState:
-    """Per-path queue view consumed by the baseline assigners."""
-
-    in_flight: list[int]
-    mean_ms: list[float]
-    stddev_ms: list[float] = field(default_factory=list)
-    prop_ms: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        m = len(self.in_flight)
-        if m == 0:
-            raise ValidationError("need at least one path")
-        if not self.stddev_ms:
-            self.stddev_ms = [0.0] * m
-        if not self.prop_ms:
-            self.prop_ms = [0.0] * m
-        if not (len(self.mean_ms) == len(self.stddev_ms) == len(self.prop_ms) == m):
-            raise ValidationError("per-path lists must have equal length")
-        # A NaN cost compares false both ways, which no greedy order can rank.
-        if not all(map(isfinite, self.mean_ms + self.stddev_ms + self.prop_ms)):
-            raise ValidationError("per-path values must be finite")
-
-    def __len__(self) -> int:
-        return len(self.in_flight)
-
-
-def edf_assign(state: PathQueueState, n: int) -> tuple[int, ...]:
+def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     """Paths of n packets, each sent where it is expected earliest; ties go low.
 
-    Path j's k-th further packet costs (in_flight_j + k) * mean_j + prop_j,
+    Path j's k-th further packet costs (in_flight_j + k) * mu_j + prop_j,
     so the greedy sequence is a heap merge of the per-path cost sequences
-    keyed (cost, j): O(n log m).
+    keyed (cost, j): O(n log m).  EDF does not read `stddevs`; it takes them
+    so that both assigners share one signature.
     """
-    mean_ms, prop_ms = state.mean_ms, state.prop_ms
+    mean_ms = [p.mu_ms for p in params]
+    prop_ms = [p.prop_ms for p in params]
     heap = [
-        ((u + 1) * mean_ms[j] + prop_ms[j], j, u + 1)
-        for j, u in enumerate(state.in_flight)
+        ((p.in_flight + 1) * p.mu_ms + p.prop_ms, j, p.in_flight + 1)
+        for j, p in enumerate(params)
     ]
     heapq.heapify(heap)
     order = []
@@ -96,7 +72,7 @@ def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]
     return mean, (0.0 if 0.0 > var else var)  # same as max(var, 0.0), -0.0 and NaN too
 
 
-def sedpf_assign(state: PathQueueState, n: int) -> tuple[int, ...]:
+def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     """Paths of n packets, each sent to the candidate minimizing the expected
     max delivery time over all paths.
 
@@ -106,10 +82,15 @@ def sedpf_assign(state: PathQueueState, n: int) -> tuple[int, ...]:
     cost and then by index, so the all-zero stddev case reduces to
     edf_assign exactly.
     """
-    m = len(state)
-    mean_ms, prop_ms = state.mean_ms, state.prop_ms
-    var_ms = [s ** 2 for s in state.stddev_ms]
-    loads = list(state.in_flight)
+    m = len(params)
+    # A NaN cost compares false both ways, which no greedy order can rank;
+    # PathParams already refuses non-finite means and propagation delays.
+    if len(stddevs) != m or not all(map(isfinite, stddevs)):
+        raise ValidationError(f"need one finite stddev per path, got {list(stddevs)}")
+    mean_ms = [p.mu_ms for p in params]
+    prop_ms = [p.prop_ms for p in params]
+    var_ms = [s ** 2 for s in stddevs]
+    loads = [p.in_flight for p in params]
     means = [u * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
     variances = [u * v for u, v in zip(loads, var_ms)]
     order = []

@@ -71,33 +71,31 @@ def _load_config(args):
     return replace(config, **overrides) if overrides else config
 
 
-def _emit(rows, out) -> None:
-    if out is None:
-        write_csv(rows, sys.stdout)
-    else:
-        write_csv(rows, out)
+def _sweep_values(axis: str, text: str) -> list:
+    parse = int if axis == "object_size" else float
+    try:
+        return [parse(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"bad --values for axis {axis}: {exc}") from exc
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        if args.command == "run":
-            _emit([_run_paired(config, args.baseline)], args.out)
-        elif args.command == "sweep":
-            values = [v for v in args.values.split(",") if v]
+        if args.command == "sweep":
             rows = run_sweep(
                 config,
                 axis=args.axis,
-                values=[float(v) if args.axis != "object_size" else int(v) for v in values],
+                values=_sweep_values(args.axis, args.values),
                 baseline=args.baseline,
                 axis_path=args.axis_path,
             )
-            _emit(rows, args.out)
-        else:  # page
-            if config.page_spec is None:
+        else:
+            if args.command == "page" and config.page_spec is None:
                 raise UsageError("page command needs page_spec in the config or --page-spec")
-            _emit([_run_paired(config, args.baseline)], args.out)
+            rows = [_run_paired(config, args.baseline)]
+        write_csv(rows, sys.stdout if args.out is None else args.out)
     except SosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,9 +101,6 @@ class TraceSource(DelaySource):
         self._samples = arr
         self._idx = 0
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def take(self, count: int) -> np.ndarray:
         n = len(self._samples)
         idx = (self._idx + np.arange(count)) % n
@@ -136,13 +133,6 @@ def _parse_trace(path: Path) -> list[float]:
     if not samples:
         raise ConfigError(f"trace file {path} contains no samples")
     return samples
-
-
-def load_trace(path, propagation_ms: float = 0.0) -> TraceSource:
-    """Parse a `seq,delay_ms` trace file into a replay source."""
-    path = Path(path)
-    spec = DelaySourceSpec(kind="trace", trace_path=path, propagation_ms=propagation_ms)
-    return TraceSource(_parse_trace(path), spec)
 
 
 def make_source(spec: DelaySourceSpec) -> DelaySource:

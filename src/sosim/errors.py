@@ -38,9 +38,5 @@ class InfeasibleError(SosimError):
     """Requested quantity does not exist for the given data."""
 
 
-class UndefinedSizeError(SosimError):
-    """Receive-buffer size is undefined (some path has zero mean delay)."""
-
-
 class UsageError(SosimError):
     """Bad CLI/sweep usage (wrong axis, empty value list...)."""

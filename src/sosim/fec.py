@@ -25,7 +25,6 @@ class FecAllocation:
 
     base: SplitVector
     totals: tuple[int, ...]
-    gamma: float
     redundancy: int
 
     def __post_init__(self):
@@ -35,10 +34,6 @@ class FecAllocation:
             raise ValidationError("per-path totals may not fall below the base split")
         if self.redundancy != sum(self.totals) - self.base.total:
             raise ValidationError("redundancy must equal sum(totals) - base total")
-
-    @property
-    def deltas(self) -> tuple[int, ...]:
-        return tuple(t - c for t, c in zip(self.totals, self.base.counts))
 
 
 def solve_fec_split(
@@ -53,7 +48,7 @@ def solve_fec_split(
     paths = list(paths)
     base = solve_integer(n, paths, stats=stats)
     if gamma == 1.0 or all(p.w == 0.0 for p in paths):
-        return FecAllocation(base=base, totals=base.counts, gamma=gamma, redundancy=0)
+        return FecAllocation(base=base, totals=base.counts, redundancy=0)
 
     totals = []
     for i, p in enumerate(paths):
@@ -62,14 +57,4 @@ def solve_fec_split(
         eta = solve_integer(n, discounted, stats=stats)
         totals.append(eta.counts[i])
     totals = tuple(totals)
-    return FecAllocation(
-        base=base,
-        totals=totals,
-        gamma=gamma,
-        redundancy=sum(totals) - base.total,
-    )
-
-
-def decode_threshold(allocation: FecAllocation) -> int:
-    """Packets required to reconstruct the object: any n of the n + delta sent."""
-    return allocation.base.total
+    return FecAllocation(base=base, totals=totals, redundancy=sum(totals) - base.total)

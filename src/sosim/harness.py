@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise UsageError("object_size must be >= 1")
         if self.mode not in ("oracle", "estimated"):
             raise UsageError(f"unknown mode {self.mode!r}")
+        if self.warmup_packets < 0:
+            raise UsageError(f"warmup_packets must be nonnegative, got {self.warmup_packets}")
 
     def sim_config(self) -> SimConfig:
         return SimConfig(

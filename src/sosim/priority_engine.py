@@ -10,7 +10,7 @@ already in service continue and still count toward completion.
 
 from __future__ import annotations
 
-from .errors import ConfigError, InfeasibleError, ValidationError
+from .errors import ConfigError, ValidationError
 from .simulator import (
     KIND_ARRIVAL,
     LiveObject,
@@ -85,7 +85,7 @@ class PriorityEngine:
     # -- event handlers -----------------------------------------------------
 
     def _handle_arrival(self, spec: ObjectSpec, now: float) -> None:
-        self.queue.arm(spec.id, spec, spec.priority, spec.connection_id)
+        self.queue.arm(spec)
         self._drain(now)
 
     def _handle_ack(self, obj: LiveObject, seq: int, now: float) -> None:
@@ -127,7 +127,7 @@ class PriorityEngine:
         self._in_drain = True
         try:
             while True:
-                cand = self.queue.next_ready_object(now, self._connection_floor())
+                cand = self.queue.next_ready_object(self._connection_floor())
                 if cand is None:
                     return
                 if self.ordering == "priority":
@@ -148,10 +148,7 @@ class PriorityEngine:
                 continue
             if self.sim.pull_unserved(live) > 0:
                 # Residual re-enters the queue at its original request position.
-                self.queue.arm(
-                    obj_id, live.spec, live.spec.priority, live.spec.connection_id,
-                    arrival_seq=self._dispatched[obj_id],
-                )
+                self.queue.arm(live.spec, arrival_seq=self._dispatched[obj_id])
 
     def _dispatch(self, live: LiveObject, now: float) -> None:
         residual = live.needed - live.delivered - live.outstanding
@@ -176,24 +173,6 @@ class PriorityEngine:
         return [self.lives[spec.id].record() for spec in self.specs]
 
 
-def page_metrics(records, specs) -> PageResult:
-    """DOM completion (the user-visible event) and full page completion."""
-    by_id = {r.object_id: r for r in records}
-    dom_times = []
-    all_times = []
-    for spec in specs:
-        rec = by_id.get(spec.id)
-        if rec is None:
-            raise InfeasibleError(f"no record for object {spec.id!r}")
-        all_times.append(rec.completion_ms)
-        if spec.is_dom:
-            dom_times.append(rec.completion_ms)
-    return PageResult(
-        dom_complete_ms=max(dom_times) if dom_times else 0.0,
-        page_complete_ms=max(all_times) if all_times else 0.0,
-    )
-
-
 def run_page(
     specs,
     sources,
@@ -201,7 +180,12 @@ def run_page(
     scheduler="sos",
     ordering: str = "priority",
 ) -> tuple[list, PageResult]:
-    """Transmit one page; returns per-object records and the page summary."""
+    """Transmit one page; returns per-object records and the page summary:
+    DOM completion (the user-visible event) and full page completion."""
     engine = PriorityEngine(specs, sources, config, scheduler, ordering)
-    records = engine.run()
-    return records, page_metrics(records, engine.specs)
+    records = engine.run()  # one per expanded spec, in spec order
+    dom_times = [r.completion_ms for r, s in zip(records, engine.specs) if s.is_dom]
+    return records, PageResult(
+        dom_complete_ms=max(dom_times, default=0.0),
+        page_complete_ms=max((r.completion_ms for r in records), default=0.0),
+    )

@@ -75,9 +75,6 @@ class SplitVector:
         counts = tuple(int(c) for c in counts)
         return cls(counts, sum(counts))
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
 
 @dataclass
 class SolveStats:

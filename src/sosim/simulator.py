@@ -20,16 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import fec as fec_mod
-from .baselines import PathQueueState, edf_assign, sedpf_assign
+from .baselines import edf_assign, sedpf_assign
 from .delay_sources import DelaySource, DelaySourceSpec, make_source, oracle_stats
-from .errors import (
-    ConfigError,
-    DomainError,
-    InfeasibleError,
-    NoDataError,
-    UndefinedSizeError,
-    ValidationError,
-)
+from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, ValidationError
 from .estimation import RollingWindow, snapshot_params
 from .scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
 from .workloads import ObjectSpec, Trigger
@@ -63,8 +56,12 @@ class SimConfig:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.mode not in ("oracle", "estimated"):
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
-        if self.ack_return_ms < 0:
-            raise ConfigError("ack_return_ms must be nonnegative")
+        if not 0.0 <= self.ack_return_ms < math.inf:  # NaN fails both comparisons
+            raise ConfigError(
+                f"ack_return_ms must be finite and nonnegative, got {self.ack_return_ms}"
+            )
+        if self.warmup_packets < 0:
+            raise ConfigError(f"warmup_packets must be nonnegative, got {self.warmup_packets}")
         if self.priors is not None:
             object.__setattr__(self, "priors", tuple(_prior(p) for p in self.priors))
 
@@ -108,27 +105,6 @@ class Plan:
         return sum(self.counts) - self.threshold
 
 
-def completion_time(arrivals, threshold: int) -> float:
-    """Time of the threshold-th smallest arrival."""
-    arrivals = sorted(arrivals)
-    if threshold < 1:
-        raise ValidationError("threshold must be positive")
-    if len(arrivals) < threshold:
-        raise InfeasibleError(
-            f"need {threshold} arrivals, got {len(arrivals)}"
-        )
-    return arrivals[threshold - 1]
-
-
-def receive_buffer_size(split: SplitVector, paths) -> int:
-    """In-order receive buffer sizing: ceil of sum over paths of D_U / mu."""
-    paths = list(paths)
-    if any(p.mu_ms == 0.0 for p in paths):
-        raise UndefinedSizeError("buffer size undefined when some path has zero mean delay")
-    bound = d_upper(split, paths)
-    return math.ceil(sum(bound / p.mu_ms for p in paths))
-
-
 # ---------------------------------------------------------------------------
 # Scheduling policies
 
@@ -159,13 +135,7 @@ class _GreedyPolicy:
     assign = None
 
     def plan(self, n: int, params, stddevs) -> Plan:
-        state = PathQueueState(
-            in_flight=[p.in_flight for p in params],
-            mean_ms=[p.mu_ms for p in params],
-            stddev_ms=list(stddevs),
-            prop_ms=[p.prop_ms for p in params],
-        )
-        order = type(self).assign(state, n)
+        order = type(self).assign(params, stddevs, n)
         counts = [0] * len(params)
         for j in order:
             counts[j] += 1
@@ -509,11 +479,9 @@ def run_transfer(objects, scheduler, sources, config: SimConfig = SimConfig()):
     instance or one of {"sos", "sos_fec", "edf", "sedpf"}.  Returns one
     TransferRecord per object.
     """
-    sources = [
-        make_source(s) if isinstance(s, DelaySourceSpec) else s for s in sources
-    ]
     policy = make_policy(scheduler, config) if isinstance(scheduler, str) else scheduler
     sim = Simulation(sources, config)
+    sources = [lane.source for lane in sim.lanes]
     feed = ParamFeed([src.spec for src in sources], config, sim.windows)
     if config.mode == "estimated":
         feed.warmup(sources, config.warmup_packets)

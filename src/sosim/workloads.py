@@ -2,7 +2,8 @@
 
 Page spec files are line-oriented CSV: `id,size_packets,dom,connection_id,
 chunked,trigger` where `dom` is 0 (plain) or a positive priority, `chunked`
-is 0/1, and `trigger` is `t0`, `t:<ms>` or `dep:<object_id>:<packet_index>`.
+is 0/1, and `trigger` is `t0`, `t:<ms>` (a finite, nonnegative time from the
+page start) or `dep:<object_id>:<packet_index>`.
 `#` starts a comment.  Chunked objects expand into per-packet unit objects
 sharing connection and priority (each packet is independently useful, so a
 delayed packet cannot stall requests generated by earlier ones).
@@ -10,6 +11,7 @@ delayed packet cannot stall requests generated by earlier ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,6 +29,11 @@ class Trigger:
     at_ms: float = 0.0
     dep_id: str = ""
     dep_packet: int = 0
+
+    def __post_init__(self):
+        # A page starts at time zero; NaN fails both comparisons.
+        if not 0.0 <= self.at_ms < math.inf:
+            raise ValidationError(f"trigger time {self.at_ms} must be finite and nonnegative")
 
     @classmethod
     def t0(cls) -> "Trigger":
@@ -179,27 +186,23 @@ def maybe_preempt(current, candidate) -> bool:
 class ObjectQueue:
     """Pending objects whose triggers have fired, ordered for dispatch.
 
-    Arrival order is the arm() call order (trigger-satisfaction order).  Only
-    the earliest-armed object per connection is dispatchable, mirroring
-    in-order request handling on an HTTP connection.
+    Holds each armed `ObjectSpec` with its arrival seq; priority and
+    connection are read from the spec.  Arrival order is the arm() call order
+    (trigger-satisfaction order) unless the caller passes the seq of an
+    earlier request.  Only the earliest-armed object per connection is
+    dispatchable, mirroring in-order request handling on an HTTP connection.
     """
 
     def __init__(self, by_priority: bool = True):
         self.by_priority = by_priority
-        self._armed: dict[str, tuple[int, object]] = {}  # id -> (arrival_seq, item)
-        self._meta: dict[str, tuple[int, str]] = {}  # id -> (priority, connection)
+        self._armed: dict[str, tuple[int, ObjectSpec]] = {}  # id -> (arrival_seq, spec)
         self._counter = 0
 
-    def __len__(self) -> int:
-        return len(self._armed)
-
-    def arm(self, obj_id: str, item, priority: int, connection_id: str,
-            arrival_seq: int | None = None) -> None:
+    def arm(self, spec: ObjectSpec, arrival_seq: int | None = None) -> None:
         if arrival_seq is None:
             arrival_seq = self._counter
             self._counter += 1
-        self._armed[obj_id] = (arrival_seq, item)
-        self._meta[obj_id] = (priority, connection_id)
+        self._armed[spec.id] = (arrival_seq, spec)
 
     def arrival_seq(self, obj_id: str) -> int:
         return self._armed[obj_id][0]
@@ -207,39 +210,33 @@ class ObjectQueue:
     def is_armed(self, obj_id: str) -> bool:
         return obj_id in self._armed
 
-    def next_ready_object(self, now_ms: float = 0.0, blocked_connections=()):
+    def next_ready_object(self, blocked: dict[str, int]) -> ObjectSpec | None:
         """Highest-priority dispatchable object, or None.
 
-        Ties break by arrival order then id.  `blocked_connections` maps a
-        connection id to the arrival seq of its earliest unsettled dispatched
-        object; an armed object must precede that to dispatch.
+        Ties break by arrival order then id.  `blocked` maps a connection id
+        to the arrival seq of its earliest unsettled dispatched object; an
+        armed object must precede that to dispatch.
         """
-        blocked = dict(blocked_connections) if not isinstance(blocked_connections, dict) \
-            else blocked_connections
         earliest: dict[str, int] = {}
-        for obj_id, (seq, _) in self._armed.items():
-            conn = self._meta[obj_id][1]
+        for seq, spec in self._armed.values():
+            conn = spec.connection_id
             if conn not in earliest or seq < earliest[conn]:
                 earliest[conn] = seq
-        best_id = None
+        best = None
         best_key = None
-        for obj_id, (seq, _) in self._armed.items():
-            priority, conn = self._meta[obj_id]
+        for seq, spec in self._armed.values():
+            conn = spec.connection_id
             if earliest[conn] != seq:
                 continue  # an earlier request on this connection goes first
             if conn in blocked and seq > blocked[conn]:
                 continue  # an earlier dispatched object on this connection is unsettled
-            key = (-priority if self.by_priority else 0, seq, obj_id)
+            key = (-spec.priority if self.by_priority else 0, seq, spec.id)
             if best_key is None or key < best_key:
-                best_id, best_key = obj_id, key
-        if best_id is None:
-            return None
-        return self._armed[best_id][1]
+                best, best_key = spec, key
+        return best
 
-    def take(self, obj_id: str):
-        seq, item = self._armed.pop(obj_id)
-        self._meta.pop(obj_id)
-        return item
+    def take(self, obj_id: str) -> ObjectSpec:
+        return self._armed.pop(obj_id)[1]
 
 
 def random_page(

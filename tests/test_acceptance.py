@@ -293,7 +293,7 @@ def test_criterion_08_fec_never_hurts():
             for _ in range(m)
         ]
         alloc = solve_fec_split(n, paths, float(rng.uniform(0, 1)))
-        if any(d < 0 for d in alloc.deltas):
+        if any(t < c for t, c in zip(alloc.totals, alloc.base.counts)):
             viol += 1
     ok = ok_pairs and viol == 0
     report(8, "redundancy never slows completion; per-path deltas nonnegative",

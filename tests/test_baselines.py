@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -12,17 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sosim.baselines as baselines
-from sosim.baselines import PathQueueState, clark_max, edf_assign, sedpf_assign
+from sosim.baselines import clark_max, edf_assign, sedpf_assign
 from sosim.errors import ValidationError
+from sosim.scheduler_core import PathParams
 
 
 def state(in_flight, means, stds=None, props=None):
-    return PathQueueState(
-        in_flight=list(in_flight),
-        mean_ms=list(means),
-        stddev_ms=list(stds) if stds else [],
-        prop_ms=list(props) if props else [],
-    )
+    """A feed snapshot `(params, stddevs)`; the baselines do not read `w`."""
+    m = len(in_flight)
+    props = list(props) if props else [0.0] * m
+    params = [PathParams(mu, 0.0, p, u) for u, mu, p in zip(in_flight, means, props)]
+    return params, list(stds) if stds else [0.0] * m
 
 
 # ---------------------------------------------------------------------------
@@ -45,31 +46,32 @@ def ref_clark_max(m1, v1, m2, v2):
     return mean, max(second - mean * mean, 0.0)
 
 
-def ref_edf_one(s):
+def ref_edf_one(params, stds):
     best = 0
     best_cost = math.inf
-    for j in range(len(s)):
-        cost = (s.in_flight[j] + 1) * s.mean_ms[j] + s.prop_ms[j]
+    for j, p in enumerate(params):
+        cost = (p.in_flight + 1) * p.mu_ms + p.prop_ms
         if cost < best_cost:
             best, best_cost = j, cost
     return best
 
 
-def ref_sedpf_one(s):
-    m = len(s)
+def ref_sedpf_one(params, stds):
+    m = len(params)
     best = 0
     best_key = None
     for cand in range(m):
         means = []
         variances = []
-        for j in range(m):
-            load = s.in_flight[j] + (1 if j == cand else 0)
-            means.append(load * s.mean_ms[j] + s.prop_ms[j])
-            variances.append(load * s.stddev_ms[j] ** 2)
+        for j, p in enumerate(params):
+            load = p.in_flight + (1 if j == cand else 0)
+            means.append(load * p.mu_ms + p.prop_ms)
+            variances.append(load * stds[j] ** 2)
         mean, var = means[0], variances[0]
         for m2, v2 in zip(means[1:], variances[1:]):
             mean, var = ref_clark_max(mean, var, m2, v2)
-        edf_cost = (s.in_flight[cand] + 1) * s.mean_ms[cand] + s.prop_ms[cand]
+        p = params[cand]
+        edf_cost = (p.in_flight + 1) * p.mu_ms + p.prop_ms
         key = (mean, edf_cost)
         if best_key is None or key < best_key:
             best, best_key = cand, key
@@ -77,12 +79,12 @@ def ref_sedpf_one(s):
 
 
 def ref_plan(assign_one, s, n):
-    s = state(s.in_flight, s.mean_ms, s.stddev_ms, s.prop_ms)
+    params, stds = list(s[0]), s[1]
     order = []
     for _ in range(n):
-        j = assign_one(s)
+        j = assign_one(params, stds)
         order.append(j)
-        s.in_flight[j] += 1
+        params[j] = replace(params[j], in_flight=params[j].in_flight + 1)
     return tuple(order)
 
 
@@ -95,41 +97,41 @@ def _bits(x: float) -> bytes:
 
 
 def test_edf_prefers_smaller_mean():
-    assert edf_assign(state([0, 0], [10.0, 12.0]), 1)[0] == 0
+    assert edf_assign(*state([0, 0], [10.0, 12.0]), 1)[0] == 0
 
 
 def test_edf_accounts_for_backlog():
-    assert edf_assign(state([1, 0], [10.0, 12.0]), 1)[0] == 1  # 20 vs 12
+    assert edf_assign(*state([1, 0], [10.0, 12.0]), 1)[0] == 1  # 20 vs 12
 
 
 def test_edf_tie_breaks_low_index():
-    assert edf_assign(state([0, 0], [7.0, 7.0]), 1)[0] == 0
+    assert edf_assign(*state([0, 0], [7.0, 7.0]), 1)[0] == 0
 
 
 def test_edf_includes_propagation():
-    assert edf_assign(state([0, 0], [10.0, 10.0], props=[5.0, 0.0]), 1)[0] == 1
+    assert edf_assign(*state([0, 0], [10.0, 10.0], props=[5.0, 0.0]), 1)[0] == 1
 
 
 def test_edf_balances_load():
     means = [2.0, 5.0, 9.0]
-    order = edf_assign(state([0, 0, 0], means), 500)
+    order = edf_assign(*state([0, 0, 0], means), 500)
     assert len(order) == 500
     loads = [order.count(j) * m for j, m in enumerate(means)]
     assert max(loads) - min(loads) <= max(means)
 
 
 def test_sedpf_single_path():
-    assert sedpf_assign(state([3], [10.0], [4.0]), 1)[0] == 0
+    assert sedpf_assign(*state([3], [10.0], [4.0]), 1)[0] == 0
 
 
 def test_sedpf_avoids_highly_variable_path_for_single_packet():
     # stable-but-slower path wins when the fast path fluctuates wildly
-    assert sedpf_assign(state([0, 0], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 1
+    assert sedpf_assign(*state([0, 0], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 1
 
 
 def test_sedpf_uses_variable_path_under_backlog():
     # with a deep queue on the stable path the variable one becomes attractive
-    assert sedpf_assign(state([0, 20], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 0
+    assert sedpf_assign(*state([0, 20], [10.0, 12.0], [50.0, 1.0]), 1)[0] == 0
 
 
 def test_sedpf_reduces_to_edf_without_variance():
@@ -143,15 +145,15 @@ def test_sedpf_reduces_to_edf_without_variance():
             [0.0] * m,
             [float(x) for x in rng.uniform(0, 5, size=m)],
         )
-        assert sedpf_assign(st_a, n) == edf_assign(st_a, n)
+        assert sedpf_assign(*st_a, n) == edf_assign(*st_a, n)
 
 
 def test_sedpf_edf_agree_on_backlog_masked_candidates():
     # a huge third-path backlog dominates both candidates' maxima; the tie
     # must still resolve the way EDF does
     st_a = state([0, 0, 1], [6.0, 5.0, 100.0], [0.0, 0.0, 0.0])
-    assert edf_assign(st_a, 1)[0] == 1
-    assert sedpf_assign(st_a, 1)[0] == 1
+    assert edf_assign(*st_a, 1)[0] == 1
+    assert sedpf_assign(*st_a, 1)[0] == 1
 
 
 @pytest.mark.parametrize("field", ["means", "stds", "props"])
@@ -159,14 +161,15 @@ def test_sedpf_edf_agree_on_backlog_masked_candidates():
 def test_non_finite_path_values_rejected(field, value):
     lists = {"means": [1.0, 2.0], "stds": [1.0, 1.0], "props": [0.0, 1.0]}
     lists[field][0] = value
+    # PathParams refuses the means and props; sedpf_assign refuses the stds
     with pytest.raises(ValidationError):
-        state([0, 0], lists["means"], lists["stds"], lists["props"])
+        sedpf_assign(*state([0, 0], lists["means"], lists["stds"], lists["props"]), 1)
 
 
 def test_assigners_are_deterministic():
     st_a = state([2, 1], [3.0, 4.0], [1.0, 2.0])
-    assert all(sedpf_assign(st_a, 5) == sedpf_assign(st_a, 5) for _ in range(5))
-    assert all(edf_assign(st_a, 5) == edf_assign(st_a, 5) for _ in range(5))
+    assert all(sedpf_assign(*st_a, 5) == sedpf_assign(*st_a, 5) for _ in range(5))
+    assert all(edf_assign(*st_a, 5) == edf_assign(*st_a, 5) for _ in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +207,10 @@ def queue_states(draw):
 @example(state([3, 0, 3, 0] * 4, [2.0, 1.0] * 8, [1.0, 1.0] * 8, [1.0, 2.0] * 8), 40)
 @example(state([0, 0, 0], [5.0, 5.0, 5.0], [2.0, 2.0, 2.0]), 30)
 def test_plans_match_per_packet_reference(s, n):
-    in_flight = list(s.in_flight)
-    assert edf_assign(s, n) == ref_plan(ref_edf_one, s, n)
-    assert sedpf_assign(s, n) == ref_plan(ref_sedpf_one, s, n)
-    assert s.in_flight == in_flight  # the caller's view is left as it was
+    stds = list(s[1])
+    assert edf_assign(*s, n) == ref_plan(ref_edf_one, s, n)
+    assert sedpf_assign(*s, n) == ref_plan(ref_sedpf_one, s, n)
+    assert s[1] == stds  # the caller's view is left as it was
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16])
@@ -219,7 +222,7 @@ def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
         return clark_max(*args)
 
     monkeypatch.setattr(baselines, "clark_max", counted)
-    sedpf_assign(state([0] * m, [1.0 + j for j in range(m)], [2.0] * m), 3)
+    sedpf_assign(*state([0] * m, [1.0 + j for j in range(m)], [2.0] * m), 3)
     assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from sosim.errors import DomainError
-from sosim.fec import FecAllocation, decode_threshold, solve_fec_split
-from sosim.scheduler_core import PathParams, SplitVector, solve_integer
-from sosim.simulator import completion_time
+from sosim.fec import solve_fec_split
+from sosim.scheduler_core import PathParams, solve_integer
 
 
 def path(mu, w, prop=0.0):
@@ -59,8 +58,9 @@ def test_deltas_nonnegative_random():
             for _ in range(m)
         ]
         alloc = solve_fec_split(n, paths, gamma)  # constructor asserts deltas >= 0
-        assert all(d >= 0 for d in alloc.deltas)
-        assert alloc.redundancy == sum(alloc.deltas)
+        deltas = [t - c for t, c in zip(alloc.totals, alloc.base.counts)]
+        assert all(d >= 0 for d in deltas)
+        assert alloc.redundancy == sum(deltas)
 
 
 def test_per_path_resolve_matches_direct_solve():
@@ -82,22 +82,6 @@ def test_per_path_resolve_matches_direct_solve():
             assert alloc.totals[i] == solve_integer(n, discounted).counts[i]
 
 
-def test_decode_threshold_is_base_total():
-    alloc = FecAllocation(
-        base=SplitVector((60, 40), 100), totals=(80, 40), gamma=0.5, redundancy=20
-    )
-    assert decode_threshold(alloc) == 100
-
-
 def test_decode_threshold_without_redundancy():
     alloc = solve_fec_split(30, [path(2.0, 0.0), path(2.0, 0.0)], gamma=0.3)
-    assert decode_threshold(alloc) == 30 == sum(alloc.totals)
-
-
-def test_extra_packet_never_slows_completion():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(1, 30))
-        arrivals = rng.uniform(0, 100, size=n + int(rng.integers(0, 10))).tolist()
-        base = completion_time(arrivals, n)
-        assert completion_time(arrivals + [float(rng.uniform(0, 200))], n) <= base
+    assert alloc.base.total == 30 == sum(alloc.totals)

@@ -98,6 +98,8 @@ def test_config_validation():
         small(replications=0)
     with pytest.raises(UsageError):
         ExperimentConfig(paths=(), object_size=5)
+    with pytest.raises(UsageError, match="warmup_packets"):
+        small(mode="estimated", warmup_packets=-7)
 
 
 def test_fec_row_reports_redundancy():
@@ -296,6 +298,26 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     f.write_text("nonsense\n")
     assert main(["run", "--config", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("ack_return_ms = nan", "ack_return_ms"), ("warmup_packets = -7", "warmup_packets")],
+)
+def test_cli_out_of_domain_setting_exits_2(tmp_path, capsys, setting, message):
+    f = tmp_path / "bad.cfg"
+    f.write_text(CONFIG_TEXT.replace("mode = oracle", f"mode = oracle\n{setting}"))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("axis, values", [("object_size", "1.5"), ("sigma", "1,x")])
+def test_cli_malformed_sweep_values_exit_2(config_file, capsys, axis, values):
+    assert main(["sweep", "--config", str(config_file), "--axis", axis,
+                 "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--values" in err
 
 
 def test_epsilon_outside_unit_interval_rejected(tmp_path):

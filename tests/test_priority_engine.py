@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import InfeasibleError
-from sosim.priority_engine import PriorityEngine, page_metrics, run_page
+from sosim.priority_engine import PriorityEngine, run_page
 from sosim.scheduler_core import split_object
 from sosim.simulator import SimConfig, run_transfer
 from sosim.workloads import ObjectSpec, Trigger, random_page
@@ -85,11 +84,6 @@ def test_page_metrics_non_dom_tail():
     ]
     recs, result = run_page(specs, sources(det(1.0)), SimConfig(), "sos")
     assert result.dom_complete_ms < result.page_complete_ms
-
-
-def test_page_metrics_missing_record():
-    with pytest.raises(InfeasibleError):
-        page_metrics([], [ObjectSpec("a", 1, priority=1)])
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import ConfigError, InfeasibleError, NoDataError, UndefinedSizeError
+from sosim.errors import ConfigError, NoDataError
 from sosim.estimation import RollingWindow
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
@@ -19,8 +19,6 @@ from sosim.simulator import (
     Plan,
     SimConfig,
     Simulation,
-    completion_time,
-    receive_buffer_size,
     run_transfer,
 )
 
@@ -35,21 +33,7 @@ def gam(mean, std, prop=0.0, seed=0):
     )
 
 
-# -- completion_time ---------------------------------------------------------
-
-
-def test_completion_time_examples():
-    assert completion_time([3, 1, 2], 2) == 2
-    assert completion_time([5, 1, 2, 9], 3) == 5
-    assert completion_time([5, 1, 2, 9], 4) == 9
-
-
-def test_completion_time_infeasible():
-    with pytest.raises(InfeasibleError):
-        completion_time([1.0], 2)
-
-
-# -- receive_buffer_size -----------------------------------------------------
+# -- bound ---------------------------------------------------------------------
 
 
 def test_buffer_size_formula():
@@ -60,18 +44,6 @@ def test_buffer_size_formula():
     ]
     split = SplitVector((10, 5), 15)
     assert d_upper(split, paths) == pytest.approx(100.0)
-    assert receive_buffer_size(split, paths) == 15
-
-
-def test_buffer_size_single_path_self_consistency():
-    paths = [PathParams(4.0, 0.0)]
-    assert receive_buffer_size(SplitVector((7,), 7), paths) == 7
-
-
-def test_buffer_size_zero_mean_errors():
-    paths = [PathParams(0.0, 1.0), PathParams(1.0, 0.0)]
-    with pytest.raises(UndefinedSizeError):
-        receive_buffer_size(SplitVector((1, 1), 2), paths)
 
 
 # -- run_transfer ------------------------------------------------------------
@@ -92,10 +64,6 @@ def test_one_packet_per_path_is_max_of_delays():
     sim.dispatch(live, Plan((1, 1), 2), params, 0.0)
     sim.run()
     assert live.completion_ms == pytest.approx(5.0)
-
-
-def test_fec_counting_decode_order_statistic():
-    assert completion_time([2, 4, 5, 9], 3) == 5
 
 
 def test_determinism_same_seed_same_records():
@@ -190,6 +158,17 @@ def test_bad_prior_rejected_at_config(prior):
         SimConfig(priors=((2.0, 1.0), prior))
 
 
+@pytest.mark.parametrize("ack", [math.nan, math.inf, -1.0])
+def test_bad_ack_return_rejected_at_config(ack):
+    with pytest.raises(ConfigError, match="ack_return_ms"):
+        SimConfig(ack_return_ms=ack)
+
+
+def test_negative_warmup_rejected_at_config():
+    with pytest.raises(ConfigError, match="warmup_packets"):
+        SimConfig(mode="estimated", warmup_packets=-7)
+
+
 def test_estimated_mode_never_reads_oracle_stats(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("estimated mode read the true statistics")
@@ -243,7 +222,8 @@ def test_hol_buffer_stays_within_sized_window():
     feed = ParamFeed(specs, cfg)
     params, _ = feed.snapshot([0, 0])
     split = split_object(100, params)
-    size = receive_buffer_size(split, params)
+    # in-order receive buffer sized as ceil(sum over paths of D_U / mu)
+    size = math.ceil(sum(d_upper(split, params) / p.mu_ms for p in params))
     recs = run_transfer([100] * 200, "sos", sources, cfg)
     ok = sum(1 for r in recs if r.hol_buffer_peak <= size)
     assert ok >= 0.95 * len(recs)

@@ -96,6 +96,15 @@ def test_malformed_line_has_number(tmp_path):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("at", ["nan", "inf", "-5"])
+def test_time_trigger_must_be_finite_and_nonnegative(tmp_path, at):
+    f = tmp_path / "page.csv"
+    f.write_text(f"a,1,1,c0,0,t0\nb,1,0,c1,0,t:{at}\n")
+    with pytest.raises(ParseError, match="trigger time") as exc:
+        load_page_spec(f)
+    assert exc.value.line_no == 2
+
+
 def test_expansion_preserves_packet_count():
     specs = [
         ObjectSpec("a", 5, priority=1, chunked=True),
@@ -107,47 +116,56 @@ def test_expansion_preserves_packet_count():
     assert expanded[-1].trigger == Trigger.dep("a#4", 1)
 
 
+def armed(q, obj_id, priority, conn):
+    q.arm(ObjectSpec(obj_id, 1, priority=priority, connection_id=conn))
+
+
+def ready_id(q, blocked=None):
+    spec = q.next_ready_object(blocked or {})
+    return None if spec is None else spec.id
+
+
 def test_queue_priority_order():
     q = ObjectQueue()
-    q.arm("A", "A", priority=1, connection_id="c1")
-    q.arm("B", "B", priority=2, connection_id="c2")
-    assert q.next_ready_object() == "B"
+    armed(q, "A", 1, "c1")
+    armed(q, "B", 2, "c2")
+    assert ready_id(q) == "B"
 
 
 def test_queue_arrival_order_tie():
     q = ObjectQueue()
-    q.arm("A", "A", priority=1, connection_id="c1")
-    q.arm("B", "B", priority=1, connection_id="c2")
-    assert q.next_ready_object() == "A"
+    armed(q, "A", 1, "c1")
+    armed(q, "B", 1, "c2")
+    assert ready_id(q) == "A"
 
 
 def test_queue_empty_returns_none():
-    assert ObjectQueue().next_ready_object() is None
+    assert ObjectQueue().next_ready_object({}) is None
 
 
 def test_queue_serializes_within_connection():
     q = ObjectQueue()
-    q.arm("low", "low", priority=0, connection_id="c1")
-    q.arm("high", "high", priority=9, connection_id="c1")
+    armed(q, "low", 0, "c1")
+    armed(q, "high", 9, "c1")
     # same connection: the earlier request goes first despite priority
-    assert q.next_ready_object() == "low"
+    assert ready_id(q) == "low"
 
 
 def test_queue_respects_dispatched_floor():
     q = ObjectQueue()
-    q.arm("early", "early", priority=0, connection_id="c1")
+    armed(q, "early", 0, "c1")
     seq = q.arrival_seq("early")
-    q.take("early")
-    q.arm("late", "late", priority=5, connection_id="c1")
+    assert q.take("early").id == "early"
+    armed(q, "late", 5, "c1")
     # an unsettled earlier object on c1 blocks the newcomer
-    assert q.next_ready_object(blocked_connections={"c1": seq}) is None
+    assert ready_id(q, {"c1": seq}) is None
 
 
 def test_fifo_queue_ignores_priority():
     q = ObjectQueue(by_priority=False)
-    q.arm("A", "A", priority=0, connection_id="c1")
-    q.arm("B", "B", priority=9, connection_id="c2")
-    assert q.next_ready_object() == "A"
+    armed(q, "A", 0, "c1")
+    armed(q, "B", 9, "c2")
+    assert ready_id(q) == "A"
 
 
 def test_maybe_preempt_rule():
