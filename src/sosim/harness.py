@@ -21,7 +21,7 @@ import numpy as np
 
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
 from .errors import ConfigError, DomainError, UsageError
-from .estimation import RollingWindow, nearest_rank
+from .estimation import nearest_rank
 from .priority_engine import run_page
 from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
@@ -120,11 +120,8 @@ def _delays_fixed_size(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     reps = config.replications
     props = np.array([s.propagation_ms for s in specs])
 
-    windows = None
-    if config.mode == "estimated":
-        windows = [RollingWindow(sim_cfg.window_capacity) for _ in specs]
-    feed = ParamFeed(specs, sim_cfg, windows)
-    feed.warmup(sources, config.warmup_packets)
+    feed = ParamFeed(specs, sim_cfg)
+    feed.warmup(sources)
 
     delays = np.empty(reps)
     sent_total = 0
@@ -143,8 +140,8 @@ def _delays_fixed_size(config: ExperimentConfig) -> tuple[np.ndarray, float]:
             )
             delays[r] = np.partition(arrivals, plan.threshold - 1)[plan.threshold - 1]
         sent_total += sum(plan.counts)
-        if windows is not None:
-            for win, d in zip(windows, draws):
+        if feed.windows is not None:
+            for win, d in zip(feed.windows, draws):
                 if len(d) > 1:
                     win.extend(d[1:])  # first packet of each busy run has no gap
     redundancy_fraction = (sent_total - n * reps) / (n * reps)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
-from .delay_sources import DelaySource, DelaySourceSpec, make_source, oracle_stats
+from .delay_sources import DelaySource, oracle_stats
 from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, ValidationError
 from .estimation import RollingWindow, snapshot_params
 from .scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
-from .workloads import ObjectSpec, Trigger
+from .workloads import ObjectSpec
 
 # Event kinds, in tie-break order at equal timestamps.
 KIND_ARRIVAL = 0      # object_arrival
@@ -194,16 +194,21 @@ def dispatch_order(counts, params) -> tuple[int, ...]:
 class ParamFeed:
     """Supplies per-path scheduling parameters, true or window-estimated.
 
-    Oracle mode uses `priors` when given, else the sources' true statistics.
-    Estimated mode uses each path's window; a path whose window is empty
-    falls back to `priors` only, and without them the snapshot raises
-    NoDataError: estimated mode never reads the true statistics.
+    Oracle mode uses `priors` when given, else the sources' true statistics,
+    and keeps no windows.  Estimated mode owns one rolling window per path;
+    a path whose window is empty falls back to `priors` only, and without
+    them the snapshot raises NoDataError: estimated mode never reads the
+    true statistics.
     """
 
-    def __init__(self, specs, config: SimConfig, windows=None):
+    def __init__(self, specs, config: SimConfig):
         self.specs = list(specs)
         self.config = config
-        self.windows = windows
+        self.windows = (
+            [RollingWindow(config.window_capacity) for _ in self.specs]
+            if config.mode == "estimated"
+            else None
+        )
         m = len(self.specs)
         self.epsilon_j = config.epsilon / m
         self._known: list[tuple] | None = None
@@ -214,8 +219,9 @@ class ParamFeed:
         elif config.mode == "oracle":
             self._known = [oracle_stats(s) for s in self.specs]
 
-    def warmup(self, sources, count: int) -> None:
-        """Prime the windows with a continuous packet stream per path."""
+    def warmup(self, sources) -> None:
+        """Prime the windows with `warmup_packets` of continuous stream per path."""
+        count = self.config.warmup_packets
         if self.windows is None or count <= 0:
             return
         for win, src in zip(self.windows, sources):
@@ -228,7 +234,7 @@ class ParamFeed:
         for j, spec in enumerate(self.specs):
             window = self.windows[j] if self.windows is not None else None
             u = int(in_flight[j])
-            if self.config.mode == "estimated" and window is not None and len(window):
+            if window is not None and len(window):
                 params.append(
                     snapshot_params(window, self.epsilon_j, spec.propagation_ms, u)
                 )
@@ -274,10 +280,6 @@ class LiveObject:
         self._arrived: list[bool] = [False] * (0 if coded else spec.size_packets)
         self._seq_counter = 0
         self.pulled_seqs: list[int] = []  # identities awaiting re-dispatch
-
-    @property
-    def settled(self) -> bool:
-        return self.completion_ms is not None and self.outstanding == 0
 
     @property
     def parse_progress(self) -> int:
@@ -337,19 +339,14 @@ class Simulation:
     """Event core: lanes, the event heap, delivery/ACK bookkeeping."""
 
     def __init__(self, sources, config: SimConfig = SimConfig()):
-        sources = [
-            make_source(s) if isinstance(s, DelaySourceSpec) else s for s in sources
-        ]
-        if not sources:
+        self.lanes = [_Lane(src) for src in sources]
+        if not self.lanes:
             raise ConfigError("need at least one path")
         self.config = config
-        self.lanes = [_Lane(src) for src in sources]
-        # Only estimated mode reads the ACK gaps; oracle runs keep no windows.
-        self.windows = (
-            [RollingWindow(config.window_capacity) for _ in sources]
-            if config.mode == "estimated"
-            else None
-        )
+        # The lanes' parameter feed; its windows (estimated mode only) take
+        # the ACK gaps, after the warm-up stream.
+        self.feed = ParamFeed([lane.source.spec for lane in self.lanes], config)
+        self.feed.warmup([lane.source for lane in self.lanes])
         self.clock = 0.0
         self._heap: list = []
         self._counter = itertools.count()
@@ -418,7 +415,7 @@ class Simulation:
         end = now + gap
         lane.serving = True
         # A gap is a valid inter-ACK sample only between back-to-back services.
-        recorded = gap if continuation and self.windows is not None else None
+        recorded = gap if continuation and self.feed.windows is not None else None
         self.schedule(end, KIND_SERVER_FREE, j)
         self.schedule(end + lane.prop_ms, KIND_DELIVERED, j, (obj, seq, recorded))
         obj.unserved -= 1
@@ -450,7 +447,7 @@ class Simulation:
         elif kind == KIND_ACK:
             obj, seq, recorded = payload
             if recorded is not None:
-                self.windows[path].record(recorded)
+                self.feed.windows[path].record(recorded)
             if self.on_ack is not None:
                 self.on_ack(obj, seq, time_ms)
         return True
@@ -460,40 +457,20 @@ class Simulation:
             pass
 
 
-def _normalize_objects(objects) -> list[ObjectSpec]:
-    specs = []
-    for i, obj in enumerate(objects):
-        if isinstance(obj, ObjectSpec):
-            specs.append(obj)
-        else:
-            specs.append(
-                ObjectSpec(id=f"obj{i}", size_packets=int(obj), trigger=Trigger.t0())
-            )
-    return specs
-
-
-def run_transfer(objects, scheduler, sources, config: SimConfig = SimConfig()):
+def run_transfer(sizes, scheduler: str, sources, config: SimConfig = SimConfig()):
     """Transmit objects one at a time; each starts once the previous settled.
 
-    `objects` may be packet counts or ObjectSpecs; `scheduler` is a policy
-    instance or one of {"sos", "sos_fec", "edf", "sedpf"}.  Returns one
-    TransferRecord per object.
+    `sizes` are packet counts; `scheduler` is one of {"sos", "sos_fec",
+    "edf", "sedpf"}.  Returns one TransferRecord per object.
     """
-    policy = make_policy(scheduler, config) if isinstance(scheduler, str) else scheduler
+    policy = make_policy(scheduler, config)
     sim = Simulation(sources, config)
-    sources = [lane.source for lane in sim.lanes]
-    feed = ParamFeed([src.spec for src in sources], config, sim.windows)
-    if config.mode == "estimated":
-        feed.warmup(sources, config.warmup_packets)
-
     records = []
-    clock = 0.0
-    for spec in _normalize_objects(objects):
-        live = LiveObject(spec, len(sources), policy.coded)
-        params, stddevs = feed.snapshot(sim.in_flight)
-        plan = policy.plan(spec.size_packets, params, stddevs)
-        sim.dispatch(live, plan, params, clock)
+    for i, size in enumerate(sizes):
+        live = LiveObject(ObjectSpec(f"obj{i}", size), len(sim.lanes), policy.coded)
+        params, stddevs = sim.feed.snapshot(sim.in_flight)
+        plan = policy.plan(live.needed, params, stddevs)
+        sim.dispatch(live, plan, params, sim.clock)
         sim.run()
-        clock = sim.clock
         records.append(live.record())
     return records

@@ -11,7 +11,9 @@ delayed packet cannot stall requests generated by earlier ones).
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,6 +76,12 @@ class ObjectSpec:
     trigger: Trigger = Trigger("t0")
 
     def __post_init__(self):
+        try:
+            operator.index(self.size_packets)  # ints, numpy ints; not 2.5
+        except TypeError:
+            raise ValidationError(
+                f"object {self.id!r} needs an integer size_packets, got {self.size_packets!r}"
+            ) from None
         if self.size_packets < 1:
             raise ValidationError(f"object {self.id!r} needs size_packets >= 1")
         if self.priority < 0:
@@ -186,57 +194,44 @@ def maybe_preempt(current, candidate) -> bool:
 class ObjectQueue:
     """Pending objects whose triggers have fired, ordered for dispatch.
 
-    Holds each armed `ObjectSpec` with its arrival seq; priority and
-    connection are read from the spec.  Arrival order is the arm() call order
-    (trigger-satisfaction order) unless the caller passes the seq of an
-    earlier request.  Only the earliest-armed object per connection is
-    dispatchable, mirroring in-order request handling on an HTTP connection.
+    Keeps each connection's armed `ObjectSpec`s in arrival order; priority
+    and connection are read from the spec.  Arrival order is the arm() call
+    order (trigger-satisfaction order) unless the caller passes the seq of an
+    earlier request.  Only the head of a connection is dispatchable,
+    mirroring in-order request handling on an HTTP connection.
     """
 
     def __init__(self, by_priority: bool = True):
         self.by_priority = by_priority
-        self._armed: dict[str, tuple[int, ObjectSpec]] = {}  # id -> (arrival_seq, spec)
+        self._armed: dict[str, list[tuple[int, ObjectSpec]]] = {}  # conn -> [(seq, spec)]
         self._counter = 0
 
     def arm(self, spec: ObjectSpec, arrival_seq: int | None = None) -> None:
         if arrival_seq is None:
             arrival_seq = self._counter
             self._counter += 1
-        self._armed[spec.id] = (arrival_seq, spec)
+        armed = self._armed.setdefault(spec.connection_id, [])
+        bisect.insort(armed, (arrival_seq, spec), key=lambda entry: entry[0])
 
-    def arrival_seq(self, obj_id: str) -> int:
-        return self._armed[obj_id][0]
+    def next_ready_object(self, busy) -> ObjectSpec | None:
+        """Highest-priority head of a connection not in `busy`, or None.
 
-    def is_armed(self, obj_id: str) -> bool:
-        return obj_id in self._armed
-
-    def next_ready_object(self, blocked: dict[str, int]) -> ObjectSpec | None:
-        """Highest-priority dispatchable object, or None.
-
-        Ties break by arrival order then id.  `blocked` maps a connection id
-        to the arrival seq of its earliest unsettled dispatched object; an
-        armed object must precede that to dispatch.
+        Ties break by arrival order then id.
         """
-        earliest: dict[str, int] = {}
-        for seq, spec in self._armed.values():
-            conn = spec.connection_id
-            if conn not in earliest or seq < earliest[conn]:
-                earliest[conn] = seq
         best = None
         best_key = None
-        for seq, spec in self._armed.values():
-            conn = spec.connection_id
-            if earliest[conn] != seq:
-                continue  # an earlier request on this connection goes first
-            if conn in blocked and seq > blocked[conn]:
-                continue  # an earlier dispatched object on this connection is unsettled
+        for conn, armed in self._armed.items():
+            if not armed or conn in busy:
+                continue
+            seq, spec = armed[0]
             key = (-spec.priority if self.by_priority else 0, seq, spec.id)
             if best_key is None or key < best_key:
                 best, best_key = spec, key
         return best
 
-    def take(self, obj_id: str) -> ObjectSpec:
-        return self._armed.pop(obj_id)[1]
+    def take(self, spec: ObjectSpec) -> int:
+        """Pop `spec`, the head of its connection; returns its arrival seq."""
+        return self._armed[spec.connection_id].pop(0)[0]
 
 
 def random_page(

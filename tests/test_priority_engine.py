@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosim.delay_sources import DelaySourceSpec, make_source
+from sosim.errors import ValidationError
 from sosim.priority_engine import PriorityEngine, run_page
 from sosim.scheduler_core import split_object
 from sosim.simulator import SimConfig, run_transfer
@@ -98,7 +101,7 @@ def test_oracle_run_keeps_no_windows(scheduler, img_completion_ms, img_sent):
     ]
     engine = PriorityEngine(specs, sources(gam(5, 2, seed=1), gam(7, 3, seed=2)), SimConfig(), scheduler)
     recs = engine.run()
-    assert engine.sim.windows is None
+    assert engine.sim.feed.windows is None
     assert [(r.object_id, r.start_ms, r.completion_ms, r.sent_per_path) for r in recs] == [
         ("html", 0.0, 21.330239324162484, (4, 2)),
         ("img", 7.136412438106708, img_completion_ms, img_sent),
@@ -170,3 +173,82 @@ def test_split_matches_backlog_replay():
     assert engine.policy.calls
     for n, params, counts in engine.policy.calls:
         assert counts == split_object(n, params).counts
+
+
+def test_run_page_refuses_fractional_size():
+    # used to die with a raw TypeError inside the engine
+    with pytest.raises(ValidationError, match="integer size_packets"):
+        run_page([ObjectSpec("a", 2.5, priority=1)], sources(det(1.0)), SimConfig())
+
+
+# html's early packets request img (plain, c1), css and js (DOM, c2): css
+# preempts img's queued packets, js preempts img's residual again.
+PREEMPTION_PAGE = [
+    ObjectSpec("html", 4, priority=1, connection_id="c0"),
+    ObjectSpec("img", 12, priority=0, connection_id="c1", trigger=Trigger.dep("html", 1)),
+    ObjectSpec("css", 3, priority=1, connection_id="c2", trigger=Trigger.dep("html", 3)),
+    ObjectSpec("js", 2, priority=1, connection_id="c2", trigger=Trigger.dep("css", 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "ordering, expected",
+    [
+        (
+            "priority",
+            [
+                ("html", 0.0, 17.566783386441855, (3, 1)),
+                ("img", 5.438168360658681, 62.47369730417691, (6, 6)),
+                ("css", 10.844067546491074, 26.809040913801148, (2, 1)),
+                ("js", 21.330239324162484, 35.03790376456995, (2, 0)),
+            ],
+        ),
+        (
+            "fifo",
+            [
+                ("html", 0.0, 17.566783386441855, (3, 1)),
+                ("img", 5.438168360658681, 48.82792171297244, (7, 5)),
+                ("css", 10.844067546491074, 59.54738646365233, (2, 1)),
+                ("js", 54.489144089703856, 62.47369730417691, (1, 1)),
+            ],
+        ),
+    ],
+)
+def test_preempted_residual_redispatch_exact(ordering, expected):
+    pulled = []
+    engine = PriorityEngine(
+        PREEMPTION_PAGE, sources(gam(5, 2, seed=1), gam(7, 3, seed=2)), SimConfig(), "sos", ordering
+    )
+    pull = engine.sim.pull_unserved
+
+    def counted_pull(obj):
+        count = pull(obj)
+        pulled.append((obj.spec.id, count))
+        return count
+
+    engine.sim.pull_unserved = counted_pull
+    recs = engine.run()
+    assert [(r.object_id, r.start_ms, r.completion_ms, r.sent_per_path) for r in recs] == expected
+    assert pulled == ([("img", 11), ("img", 11)] if ordering == "priority" else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["priority", "fifo"]),
+    st.sampled_from(["sos", "sos_fec"]),
+    st.sampled_from([0.0, 1.5, 10.0]),
+)
+def test_only_the_slot_object_has_queued_packets(seed, ordering, scheduler, ack_ms):
+    rng = np.random.default_rng(seed)
+    page = random_page(rng, int(rng.integers(2, 30)), int(rng.integers(1, 6)), 0.3)
+    paths = [gam(4, 3, seed=seed), gam(7, 2, seed=seed + 1)][: int(rng.integers(1, 3))]
+    engine = PriorityEngine(page, sources(*paths), SimConfig(ack_return_ms=ack_ms), scheduler, ordering)
+    while engine.sim.step():
+        waiting: dict[str, list] = {}
+        for live in engine.lives.values():
+            if live.unserved > 0:
+                waiting.setdefault(live.spec.connection_id, []).append(live)
+        for conn, lives in waiting.items():
+            assert lives == [engine._slots[conn][1]]
+    assert len(engine.run()) == len(engine.specs)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import ConfigError, NoDataError
-from sosim.estimation import RollingWindow
+from sosim.errors import ConfigError, NoDataError, ValidationError
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
 from sosim.workloads import ObjectSpec
@@ -50,7 +49,7 @@ def test_buffer_size_formula():
 
 
 def test_serial_deterministic_path():
-    rec = run_transfer([3], "sos", [det(2.0, prop=1.0)])[0]
+    rec = run_transfer([3], "sos", [make_source(det(2.0, prop=1.0))])[0]
     assert rec.completion_ms == pytest.approx(7.0)
     assert rec.sent_per_path == (3,)
     assert rec.redundancy == 0
@@ -98,14 +97,14 @@ def test_estimated_mode_records_gaps():
     simulation.dispatch(live, Plan((5,), 5), feed_params, 0.0)
     simulation.run()
     # 5 services, first of the busy run unrecorded
-    assert simulation.windows[0].as_array().tolist() == [3.0, 3.0, 3.0, 3.0]
+    assert simulation.feed.windows[0].as_array().tolist() == [3.0, 3.0, 3.0, 3.0]
 
 
 def test_estimated_cold_start_without_priors_raises():
     cfg = SimConfig(mode="estimated", warmup_packets=0)
     with pytest.raises(NoDataError):
         run_transfer([5], "sos", [make_source(gam(10, 1, seed=1))], cfg)
-    feed = ParamFeed([gam(10, 1)], cfg)  # no windows at all
+    feed = ParamFeed([gam(10, 1)], cfg)  # empty windows
     with pytest.raises(NoDataError):
         feed.snapshot([0])
 
@@ -113,9 +112,9 @@ def test_estimated_cold_start_without_priors_raises():
 def test_estimated_cold_start_uses_priors():
     priors = ((4.0, 1.0), (9.0, 2.0))
     cfg = SimConfig(mode="estimated", priors=priors)
-    warm, cold = RollingWindow(10), RollingWindow(10)
-    warm.extend([5.0, 7.0])
-    params, stddevs = ParamFeed([gam(10, 1), gam(12, 5)], cfg, [warm, cold]).snapshot([0, 2])
+    feed = ParamFeed([gam(10, 1), gam(12, 5)], cfg)
+    feed.windows[0].extend([5.0, 7.0])
+    params, stddevs = feed.snapshot([0, 2])
     # path 0 comes from its window, path 1 from its prior
     assert (params[0].mu_ms, params[0].w) == (6.0, variance_w(0.025, 1.0))
     assert (params[1].mu_ms, params[1].w) == (9.0, variance_w(0.025, 2.0))
@@ -258,3 +257,9 @@ def test_trace_sources_drive_the_engine(tmp_path):
 def test_run_transfer_rejects_empty_sources():
     with pytest.raises(Exception):
         run_transfer([3], "sos", [])
+
+
+def test_run_transfer_refuses_fractional_size():
+    # sizes are packet counts: 2.7 used to be truncated to 2 packets
+    with pytest.raises(ValidationError, match="integer size_packets"):
+        run_transfer([2.7], "sos", [make_source(det(5.0))])

@@ -120,8 +120,8 @@ def armed(q, obj_id, priority, conn):
     q.arm(ObjectSpec(obj_id, 1, priority=priority, connection_id=conn))
 
 
-def ready_id(q, blocked=None):
-    spec = q.next_ready_object(blocked or {})
+def ready_id(q, busy=frozenset()):
+    spec = q.next_ready_object(busy)
     return None if spec is None else spec.id
 
 
@@ -140,7 +140,7 @@ def test_queue_arrival_order_tie():
 
 
 def test_queue_empty_returns_none():
-    assert ObjectQueue().next_ready_object({}) is None
+    assert ObjectQueue().next_ready_object(set()) is None
 
 
 def test_queue_serializes_within_connection():
@@ -151,14 +151,43 @@ def test_queue_serializes_within_connection():
     assert ready_id(q) == "low"
 
 
-def test_queue_respects_dispatched_floor():
+def test_queue_busy_connection_waits():
     q = ObjectQueue()
     armed(q, "early", 0, "c1")
-    seq = q.arrival_seq("early")
-    assert q.take("early").id == "early"
+    early = q.next_ready_object(set())
+    assert q.take(early) == 0
     armed(q, "late", 5, "c1")
-    # an unsettled earlier object on c1 blocks the newcomer
-    assert ready_id(q, {"c1": seq}) is None
+    armed(q, "other", 0, "c2")
+    # c1's dispatched object still has packets queued: c1 dispatches nothing
+    assert ready_id(q, {"c1"}) == "other"
+    assert q.take(q.next_ready_object({"c1"})) == 2
+    assert ready_id(q, {"c1"}) is None
+    # once c1 is no longer busy its head dispatches
+    assert ready_id(q) == "late"
+    assert q.take(q.next_ready_object(set())) == 1
+    assert ready_id(q) is None
+
+
+def test_queue_rearmed_residual_keeps_its_request_position():
+    q = ObjectQueue()
+    armed(q, "first", 0, "c1")
+    first = q.next_ready_object(set())
+    seq = q.take(first)
+    armed(q, "second", 9, "c1")
+    q.arm(first, arrival_seq=seq)  # preempted residual returns to the queue
+    assert ready_id(q) == "first"
+    assert q.take(first) == seq
+    assert ready_id(q) == "second"
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, "3", None])
+def test_object_size_must_be_an_integer(size):
+    with pytest.raises(ValidationError, match="integer size_packets"):
+        ObjectSpec("a", size)
+
+
+def test_object_size_accepts_numpy_integers():
+    assert ObjectSpec("a", np.int64(3)).size_packets == 3
 
 
 def test_fifo_queue_ignores_priority():
