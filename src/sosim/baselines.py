@@ -19,8 +19,9 @@ path minimizing the expected maximum.
 
 from __future__ import annotations
 
-import heapq
 from math import erf, exp, isfinite, sqrt, tau
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -32,24 +33,25 @@ def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     """Paths of n packets, each sent where it is expected earliest; ties go low.
 
     Path j's k-th further packet costs (in_flight_j + k) * mu_j + prop_j,
-    so the greedy sequence is a heap merge of the per-path cost sequences
-    keyed (cost, j): O(n log m).  EDF does not read `stddevs`; it takes them
-    so that both assigners share one signature.
+    nondecreasing in k, so the greedy sequence is the n cheapest of these
+    costs in (cost, j, k) order.  Every path's n-th cost bounds the n-th
+    cheapest overall, so only costs up to the lowest of them are sorted:
+    one stable argsort over at most m*n candidates, which is also the bound
+    on temporary memory (a few float64 and index arrays of m*n entries).
+    Each cost is the same float operations as the Python expression, since
+    in_flight_j + k converts to float64 exactly below 2**53.  EDF does not
+    read `stddevs`; it takes them so that both assigners share one signature.
     """
-    mean_ms = [p.mu_ms for p in params]
-    prop_ms = [p.prop_ms for p in params]
-    heap = [
-        ((p.in_flight + 1) * p.mu_ms + p.prop_ms, j, p.in_flight + 1)
-        for j, p in enumerate(params)
-    ]
-    heapq.heapify(heap)
-    order = []
-    for _ in range(n):
-        _, j, load = heap[0]
-        order.append(j)
-        load += 1
-        heapq.heapreplace(heap, (load * mean_ms[j] + prop_ms[j], j, load))
-    return tuple(order)
+    if n == 0:
+        return ()
+    in_flight = np.array([p.in_flight for p in params], dtype=float)
+    mean_ms = np.array([p.mu_ms for p in params])
+    prop_ms = np.array([p.prop_ms for p in params])
+    cost = np.add.outer(in_flight, np.arange(1.0, n + 1)) * mean_ms[:, None] + prop_ms[:, None]
+    flat = cost.ravel()  # path-major, so a stable sort breaks ties by (j, k)
+    (cands,) = np.nonzero(flat <= cost[:, -1].min())
+    chosen = cands[np.argsort(flat[cands], kind="stable")[:n]]
+    return tuple((chosen // n).tolist())
 
 
 def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
@@ -93,30 +95,35 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     loads = [p.in_flight for p in params]
     means = [u * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
     variances = [u * v for u, v in zip(loads, var_ms)]
+    # each path's moments with one more packet; cand_mean is also its EDF cost
+    bumped_means = [(u + 1) * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
+    bumped_vars = [(u + 1) * v for u, v in zip(loads, var_ms)]
+    suffixes = [range(cand + 1, m) for cand in range(m)]
     order = []
     for _ in range(n):
-        best = 0
-        best_key: tuple[float, float] | None = None
-        for cand in range(m):
-            load = loads[cand] + 1
-            cand_mean = load * mean_ms[cand] + prop_ms[cand]  # also its EDF cost
-            cand_var = load * var_ms[cand]
-            if cand == 0:
-                mean, var = cand_mean, cand_var
-            else:
-                mean, var = clark_max(pre_mean, pre_var, cand_mean, cand_var)
-            for m2, v2 in zip(means[cand + 1 :], variances[cand + 1 :]):
-                mean, var = clark_max(mean, var, m2, v2)
-            key = (mean, cand_mean)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-            # fold of paths 0..cand for the next candidate (none after the last)
-            if cand == 0:
-                pre_mean, pre_var = means[0], variances[0]
-            elif cand + 1 < m:
+        # candidate 0 starts its own fold; candidate c > 0 extends the fold of 0..c-1
+        best_cost = mean = bumped_means[0]
+        var = bumped_vars[0]
+        for j in suffixes[0]:
+            mean, var = clark_max(mean, var, means[j], variances[j])
+        best, best_mean = 0, mean
+        pre_mean, pre_var = means[0], variances[0]
+        for cand in range(1, m):
+            cand_mean = bumped_means[cand]
+            mean, var = clark_max(pre_mean, pre_var, cand_mean, bumped_vars[cand])
+            for j in suffixes[cand]:
+                mean, var = clark_max(mean, var, means[j], variances[j])
+            # (mean, cand_mean) < (best_mean, best_cost) as tuples compare, NaN included
+            if mean < best_mean or (
+                (mean == best_mean or mean is best_mean) and cand_mean < best_cost
+            ):
+                best, best_mean, best_cost = cand, mean, cand_mean
+            if cand + 1 < m:
                 pre_mean, pre_var = clark_max(pre_mean, pre_var, means[cand], variances[cand])
         order.append(best)
+        means[best] = bumped_means[best]
+        variances[best] = bumped_vars[best]
         loads[best] = u = loads[best] + 1
-        means[best] = u * mean_ms[best] + prop_ms[best]
-        variances[best] = u * var_ms[best]
+        bumped_means[best] = (u + 1) * mean_ms[best] + prop_ms[best]
+        bumped_vars[best] = (u + 1) * var_ms[best]
     return tuple(order)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-count check."""
+
+import operator
 
 
 class SosimError(Exception):
@@ -40,3 +42,13 @@ class InfeasibleError(SosimError):
 
 class UsageError(SosimError):
     """Bad CLI/sweep usage (wrong axis, empty value list...)."""
+
+
+def require_count(name: str, value, minimum: int, error: type[SosimError] = ConfigError) -> None:
+    """Refuse a count that is not an integer (ints and numpy ints pass) or is below `minimum`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")

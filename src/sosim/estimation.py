@@ -33,7 +33,8 @@ class RollingWindow:
     """Fixed-capacity FIFO of delay samples, most recent last.
 
     The samples live in a preallocated ring buffer; writes go in place and
-    a full window overwrites its oldest sample.
+    a full window overwrites its oldest sample.  The mean and stddev come
+    from one `as_array()` copy and are kept until the next write.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
@@ -43,9 +44,9 @@ class RollingWindow:
         self._buf = np.empty(capacity)
         self._head = 0  # slot of the next write, which is the oldest sample once full
         self._size = 0
-        # as_array() and stddev() caches, reset by every write.
+        # as_array() and _moments() caches, reset by every write.
         self._array: np.ndarray | None = None
-        self._std: float | None = None
+        self._stats: tuple[float, float] | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -59,7 +60,7 @@ class RollingWindow:
         self._head = 0 if head == self.capacity else head
         if self._size < self.capacity:
             self._size += 1
-        self._array = self._std = None
+        self._array = self._stats = None
 
     def extend(self, delays) -> None:
         arr = np.asarray(delays, dtype=float)
@@ -78,7 +79,7 @@ class RollingWindow:
             self._buf[: count - first] = arr[first:]
             self._head = (head + count) % cap
         self._size = min(self._size + count, cap)
-        self._array = self._std = None
+        self._array = self._stats = None
 
     def as_array(self) -> np.ndarray:
         """The samples, oldest first, as a read-only copy kept until the next write."""
@@ -91,14 +92,24 @@ class RollingWindow:
             self._array = arr
         return self._array
 
+    def _moments(self) -> tuple[float, float]:
+        """(mean, population stddev), kept until the next write; the float
+        operations of numpy's `mean()` and `std()`, so bit-identical to them."""
+        if self._stats is None:
+            arr = self.as_array()
+            size = arr.size
+            mean = np.add.reduce(arr) / size
+            dev = arr - mean
+            np.multiply(dev, dev, out=dev)
+            self._stats = (float(mean), math.sqrt(np.add.reduce(dev) / size))
+        return self._stats
+
     def mean(self) -> float:
-        return float(self.as_array().mean())
+        return self._moments()[0]
 
     def stddev(self) -> float:
-        """Population standard deviation, kept until the next write."""
-        if self._std is None:
-            self._std = float(self.as_array().std())
-        return self._std
+        """Population standard deviation."""
+        return self._moments()[1]
 
 
 def snapshot_params(
@@ -109,8 +120,8 @@ def snapshot_params(
 ) -> PathParams:
     """Pure function of the window contents: the mean and the w weight.
 
-    w is :func:`variance_w` of the window's (population) standard deviation,
-    the cached :meth:`RollingWindow.stddev`.
+    w is :func:`variance_w` of the window's (population) standard deviation;
+    the mean and stddev come from one cached pass over the window.
     """
     if len(window) == 0:
         raise NoDataError("cannot snapshot an empty window; supply priors instead")

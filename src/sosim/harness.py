@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError, UsageError, require_count
 from .estimation import nearest_rank
 from .priority_engine import run_page
 from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
@@ -59,16 +59,15 @@ class ExperimentConfig:
             raise UsageError(f"unknown scheduler {self.scheduler!r}")
         if not self.paths:
             raise UsageError("need at least one path")
-        if self.replications < 1:
-            raise UsageError("replications must be >= 1")
+        require_count("replications", self.replications, 1, UsageError)
         if (self.object_size is None) == (self.page_spec is None):
             raise UsageError("configure exactly one of object_size or page_spec")
-        if self.object_size is not None and self.object_size < 1:
-            raise UsageError("object_size must be >= 1")
+        if self.object_size is not None:
+            require_count("object_size", self.object_size, 1, UsageError)
         if self.mode not in ("oracle", "estimated"):
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.warmup_packets < 0:
-            raise UsageError(f"warmup_packets must be nonnegative, got {self.warmup_packets}")
+        require_count("warmup_packets", self.warmup_packets, 0, UsageError)
+        require_count("seed", self.seed, 0, UsageError)  # numpy SeedSequence entropy
 
     def sim_config(self) -> SimConfig:
         return SimConfig(

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import DelaySource, oracle_stats
-from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, ValidationError
+from .errors import (ConfigError, DomainError, InfeasibleError, NoDataError,
+                     ValidationError, require_count)
 from .estimation import RollingWindow, snapshot_params
 from .scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
 from .workloads import ObjectSpec
@@ -60,8 +61,8 @@ class SimConfig:
             raise ConfigError(
                 f"ack_return_ms must be finite and nonnegative, got {self.ack_return_ms}"
             )
-        if self.warmup_packets < 0:
-            raise ConfigError(f"warmup_packets must be nonnegative, got {self.warmup_packets}")
+        require_count("warmup_packets", self.warmup_packets, 0)
+        require_count("window_capacity", self.window_capacity, 1)
         if self.priors is not None:
             object.__setattr__(self, "priors", tuple(_prior(p) for p in self.priors))
 
@@ -136,10 +137,7 @@ class _GreedyPolicy:
 
     def plan(self, n: int, params, stddevs) -> Plan:
         order = type(self).assign(params, stddevs, n)
-        counts = [0] * len(params)
-        for j in order:
-            counts[j] += 1
-        return Plan(tuple(counts), n, order=order)
+        return Plan(tuple(order.count(j) for j in range(len(params))), n, order=order)
 
 
 class EdfPolicy(_GreedyPolicy):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_count
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class Trigger:
 
     @classmethod
     def dep(cls, object_id: str, packet_index: int) -> "Trigger":
+        require_count(f"packet index of the dependency on {object_id!r}", packet_index, 0,
+                      ValidationError)
         return cls("dep", dep_id=object_id, dep_packet=int(packet_index))
 
     @classmethod

@@ -213,6 +213,31 @@ def test_plans_match_per_packet_reference(s, n):
     assert s[1] == stds  # the caller's view is left as it was
 
 
+@st.composite
+def edf_states(draw):
+    """Path views at the benchmark's sizes (m up to 16, backlogs up to 60);
+    a third draw small integer means and delays, which forces equal costs."""
+    m = draw(st.integers(1, 16))
+    size = {"min_size": m, "max_size": m}
+    backlogs = draw(st.lists(st.integers(0, 60), **size))
+    if draw(st.integers(0, 2)) == 0:
+        means = draw(st.lists(st.integers(0, 4).map(float), **size))
+        props = draw(st.lists(st.integers(0, 3).map(float), **size))
+    else:
+        means = draw(st.lists(st.floats(0.0, 30.0), **size))
+        props = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), **size))
+    return state(backlogs, means, None, props)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edf_states(), st.one_of(st.integers(0, 40), st.integers(500, 1000)))
+@example(state([0] * 16, [1.0] * 16), 1000)
+@example(state([60, 0], [0.0, 0.0], None, [1.0, 1.0]), 1000)
+@example(state([5, 0, 2], [2.0, 3.0, 4.0], None, [0.0, 5.0, 2.0]), 0)
+def test_edf_plan_matches_per_packet_reference_at_benchmark_sizes(s, n):
+    assert edf_assign(*s, n) == ref_plan(ref_edf_one, s, n)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 16])
 def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
     calls = []

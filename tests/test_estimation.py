@@ -71,6 +71,45 @@ def test_as_array_follows_writes_and_is_read_only():
     assert w.as_array().tolist() == [2.0, 3.0, 4.0]
 
 
+def test_moments_match_numpy_bit_for_bit_at_default_capacity():
+    rng = np.random.default_rng(17)
+    w = RollingWindow()
+    ref: deque[float] = deque(maxlen=w.capacity)
+    writes = [rng.gamma(2.0, 5.0, 3000), rng.gamma(0.5, 40.0, 4000),  # wraps around
+              rng.gamma(3.0, 1e3, 7000)]  # longer than the capacity
+    for samples in writes:
+        w.extend(samples)
+        ref.extend(samples)
+        arr = np.array(ref)
+        assert w.mean() == float(np.mean(arr)) and w.stddev() == float(np.std(arr))
+        for x in samples[:5]:
+            w.record(x)
+            ref.append(x)
+        arr = np.array(ref)
+        assert w.stddev() == float(np.std(arr)) and w.mean() == float(np.mean(arr))
+
+
+def test_one_write_epoch_costs_one_as_array_copy(monkeypatch):
+    calls = []
+    as_array = RollingWindow.as_array
+
+    def counted(self):
+        calls.append(self)
+        return as_array(self)
+
+    monkeypatch.setattr(RollingWindow, "as_array", counted)
+    w = RollingWindow()
+    w.extend(np.arange(6000.0))
+    for _ in range(3):
+        snapshot_params(w, 0.025)
+        w.stddev()
+    assert len(calls) == 1
+    w.record(1.0)
+    w.stddev()
+    snapshot_params(w, 0.025)
+    assert len(calls) == 2
+
+
 def test_snapshot_constant_window():
     w = RollingWindow(10)
     for _ in range(3):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sosim import delay_sources
@@ -20,7 +22,7 @@ from sosim.harness import (
     run_sweep,
     write_csv,
 )
-from sosim.simulator import SimConfig
+from sosim.simulator import SCHEDULERS, SimConfig
 
 TWO_GAMMA = (
     DelaySourceSpec(kind="gamma", mean_ms=10.0, stddev_ms=1.0),
@@ -102,6 +104,23 @@ def test_config_validation():
         small(mode="estimated", warmup_packets=-7)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("object_size", 2.5), ("replications", 2.5), ("replications", "3"), ("warmup_packets", 2.5),
+     ("seed", 2.5), ("seed", -1)],
+)
+def test_count_fields_must_be_integers(field, value):
+    with pytest.raises(UsageError, match=field):
+        small(mode="estimated", **{field: value})
+
+
+def test_count_fields_accept_numpy_integers():
+    config = small(object_size=np.int64(5), replications=np.int64(3), warmup_packets=np.int64(0),
+                   seed=np.int64(1))
+    plain = small(object_size=5, replications=3, warmup_packets=0)
+    assert run_experiment(config) == run_experiment(plain)
+
+
 def test_fec_row_reports_redundancy():
     row = run_experiment(small(scheduler="sos_fec", gamma=0.0,
                                paths=(DelaySourceSpec(kind="gamma", mean_ms=10, stddev_ms=30),
@@ -169,6 +188,23 @@ def test_write_csv_roundtrip(tmp_path):
     assert float(cells[1]) == pytest.approx(row.mean_delay_ms, rel=1e-6)
     assert cells[4] == ""
     assert float(cells[5]) == pytest.approx(-12.5, rel=1e-6)
+
+
+def test_estimated_sigma_cells_csv_is_pinned():
+    # Estimated-mode sigma sweeps of all four schedulers against a SEDPF
+    # baseline: the window moments, both greedy plans and the SOS splits
+    # feed these bytes, so a speed-up of any of them that moves a result
+    # bit fails here.
+    rows = []
+    for scheduler in SCHEDULERS:
+        base = small(scheduler, object_size=100, replications=40, seed=23,
+                     mode="estimated", warmup_packets=2000)
+        rows += run_sweep(base, "sigma", [5.0, 20.0, 50.0], baseline="sedpf")
+    out = io.StringIO()
+    write_csv(rows, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "908c8f46148d0d5371e83a69d8f3eeb313cb4f21b09d8c22ecf8ca47120b43eb"
+    )
 
 
 # -- config files ------------------------------------------------------------

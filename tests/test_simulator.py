@@ -168,6 +168,22 @@ def test_negative_warmup_rejected_at_config():
         SimConfig(mode="estimated", warmup_packets=-7)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("warmup_packets", 2.5), ("warmup_packets", "3"), ("window_capacity", 2.5),
+     ("window_capacity", 0), ("window_capacity", None)],
+)
+def test_count_fields_must_be_integers_at_config(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(mode="estimated", **{field: value})
+
+
+def test_count_fields_accept_numpy_integers():
+    config = SimConfig(mode="estimated", warmup_packets=np.int64(3), window_capacity=np.int32(4))
+    window = Simulation([make_source(gam(5.0, 1.0, seed=1))], config).feed.windows[0]
+    assert len(window) == 2 and window.capacity == 4  # the first warm-up draw has no gap
+
+
 def test_estimated_mode_never_reads_oracle_stats(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("estimated mode read the true statistics")

@@ -190,6 +190,16 @@ def test_object_size_accepts_numpy_integers():
     assert ObjectSpec("a", np.int64(3)).size_packets == 3
 
 
+@pytest.mark.parametrize("index", [2.7, 2.0, "2", -1])
+def test_dependency_packet_index_must_be_a_nonnegative_integer(index):
+    with pytest.raises(ValidationError, match="packet index"):
+        Trigger.dep("a", index)
+
+
+def test_dependency_packet_index_accepts_numpy_integers():
+    assert Trigger.dep("a", np.int64(2)) == Trigger.dep("a", 2)
+
+
 def test_fifo_queue_ignores_priority():
     q = ObjectQueue(by_priority=False)
     armed(q, "A", 0, "c1")
