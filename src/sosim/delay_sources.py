@@ -5,6 +5,11 @@ shape = (mu/sigma)^2, scale = sigma^2/mu), and replay of a measured trace
 file.  Trace files are line-oriented `seq,delay_ms` with an optional single
 header row; replay wraps around at end of file so experiments of any length
 can run on finite traces.
+
+`take(count)` (an array) and `next_delay()` (one float, the engine's per-packet
+read) advance the same stream and interleave freely.  Gamma samples are drawn
+in blocks; numpy's gamma stream does not depend on the chunking, so neither
+the block size nor the mix of reads changes a sample.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, ValidationError
 
 KINDS = ("deterministic", "gamma", "trace")
-_REFILL = 4096
+_REFILL = 256
 
 
 @dataclass(frozen=True)
@@ -53,15 +58,19 @@ class DelaySource:
         raise NotImplementedError
 
     def next_delay(self) -> float:
-        return float(self.take(1)[0])
+        raise NotImplementedError
 
 
 class DeterministicSource(DelaySource):
     def __init__(self, spec: DelaySourceSpec):
         self.spec = spec
+        self._delay = float(spec.mean_ms)
 
     def take(self, count: int) -> np.ndarray:
-        return np.full(count, self.spec.mean_ms, dtype=float)
+        return np.full(count, self._delay)
+
+    def next_delay(self) -> float:
+        return self._delay
 
 
 class GammaSource(DelaySource):
@@ -89,6 +98,13 @@ class GammaSource(DelaySource):
         self._pos = count - avail
         return np.concatenate([head, fresh[: self._pos]])
 
+    def next_delay(self) -> float:
+        pos = self._pos
+        if pos < len(self._buf):
+            self._pos = pos + 1
+            return self._buf.item(pos)
+        return float(self.take(1)[0])
+
 
 class TraceSource(DelaySource):
     """Replays recorded samples in order, wrapping around at the end."""
@@ -106,6 +122,11 @@ class TraceSource(DelaySource):
         idx = (self._idx + np.arange(count)) % n
         self._idx = (self._idx + count) % n
         return self._samples[idx]
+
+    def next_delay(self) -> float:
+        idx = self._idx
+        self._idx = (idx + 1) % len(self._samples)
+        return self._samples.item(idx)
 
 
 def _parse_trace(path: Path) -> list[float]:

@@ -11,10 +11,10 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .scheduler_core import SolveStats, SplitVector, solve_integer
+from .scheduler_core import PathParams, SolveStats, SplitVector, solve_integer
 
 DEFAULT_GAMMA = 0.5
 
@@ -53,7 +53,7 @@ def solve_fec_split(
     totals = []
     for i, p in enumerate(paths):
         discounted = list(paths)
-        discounted[i] = replace(p, w=gamma * p.w)
+        discounted[i] = PathParams(p.mu_ms, gamma * p.w, p.prop_ms, p.in_flight)
         eta = solve_integer(n, discounted, stats=stats)
         totals.append(eta.counts[i])
     totals = tuple(totals)

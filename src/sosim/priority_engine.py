@@ -53,8 +53,8 @@ class PriorityEngine:
         }
         # connection id -> (arrival seq, object) of the last dispatch on it
         self._slots: dict[str, tuple[int, LiveObject]] = {}
-        # Dependency watch: target id -> [(packet_index, dependent spec)] by
-        # packet index, popped as the target's parse progress passes them.
+        # Dependency watch: each target's (packet_index, dependent spec) pairs
+        # by packet index; the simulator releases them on the target's ACKs.
         watch: dict[str, list[tuple[int, ObjectSpec]]] = {}
         for spec in self.specs:
             trig = spec.trigger
@@ -64,14 +64,11 @@ class PriorityEngine:
                 raise ValidationError(f"unknown dependency target {trig.dep_id!r}")
             else:
                 watch.setdefault(trig.dep_id, []).append((trig.dep_packet, spec))
-        self._watch = {
-            target: deque(sorted(watchers, key=lambda kv: kv[0]))
-            for target, watchers in watch.items()
-        }
+        for target, watchers in watch.items():
+            self.lives[target].watchers = deque(sorted(watchers, key=lambda kv: kv[0]))
 
         self._in_drain = False
         self.sim.on_arrival = self._handle_arrival
-        self.sim.on_ack = self._handle_ack
         self.sim.on_fully_sent = lambda obj, now: self._drain(now)
 
     # -- event handlers -----------------------------------------------------
@@ -79,11 +76,6 @@ class PriorityEngine:
     def _handle_arrival(self, spec: ObjectSpec, now: float) -> None:
         self.queue.arm(spec)
         self._drain(now)
-
-    def _handle_ack(self, obj: LiveObject, seq: int, now: float) -> None:
-        watchers = self._watch.get(obj.spec.id)
-        while watchers and watchers[0][0] <= obj.parse_progress:
-            self.sim.schedule(now, KIND_ARRIVAL, payload=watchers.popleft()[1])
 
     # -- dispatch loop ------------------------------------------------------
 

@@ -216,16 +216,20 @@ def _solve_two(n: int, paths, stats: SolveStats | None) -> SplitVector:
     the first path more packets), using at most two bound evaluations per
     halving step.
     """
-    p0, p1 = paths
+    (u0, mu0, w0, prop0), (u1, mu1, w1, prop1) = [
+        (p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths
+    ]
     cache: dict[int, float] = {}
 
     def bound(k: int) -> float:
         v = cache.get(k)
         if v is None:
-            v = max(
-                t_upper(k, p0.in_flight, p0) + p0.prop_ms,
-                t_upper(n - k, p1.in_flight, p1) + p1.prop_ms,
-            )
+            # max(t_upper + prop) of both paths, in t_upper's float operations
+            k0, k1 = k + u0, n - k + u1
+            v = k0 * mu0 + math.sqrt(k0) * w0 + prop0
+            v1 = k1 * mu1 + math.sqrt(k1) * w1 + prop1
+            if v1 > v:
+                v = v1
             cache[k] = v
             if stats is not None:
                 stats.d_upper_evals += 1

@@ -4,7 +4,8 @@ Each path is a serial server: packets queue per path, consume one
 inter-packet delay sample per service in dispatch order, and are delivered
 one propagation delay after service ends.  The sender observes a delivery
 after a configurable ACK return time; inter-packet gaps measured between
-back-to-back services feed the rolling estimation windows in estimated mode.
+back-to-back services feed the rolling estimation windows in estimated mode,
+and ACKs release the arrivals that wait on an object's parse progress.
 
 Events are processed in nondecreasing time with a fixed lexicographic
 tie-break (time, kind, path, insertion order), so identical configurations
@@ -209,13 +210,15 @@ class ParamFeed:
         )
         m = len(self.specs)
         self.epsilon_j = config.epsilon / m
-        self._known: list[tuple] | None = None
-        if config.priors is not None:
-            if len(config.priors) != m:
-                raise ConfigError("need one prior tuple per path")
-            self._known = list(config.priors)
-        elif config.mode == "oracle":
-            self._known = [oracle_stats(s) for s in self.specs]
+        known = config.priors
+        if known is not None and len(known) != m:
+            raise ConfigError("need one prior tuple per path")
+        if known is None and config.mode == "oracle":
+            known = [oracle_stats(s) for s in self.specs]
+        # (mean, variance weight, stddev) per path, from priors or the truth
+        self._known = None if known is None else [
+            (mu, variance_w(self.epsilon_j, sigma), sigma) for mu, sigma in known
+        ]
 
     def warmup(self, sources) -> None:
         """Prime the windows with `warmup_packets` of continuous stream per path."""
@@ -242,15 +245,8 @@ class ParamFeed:
                     f"estimated mode: path {j} has no window samples and no priors"
                 )
             else:
-                mu, sigma = self._known[j]
-                params.append(
-                    PathParams(
-                        mu_ms=mu,
-                        w=variance_w(self.epsilon_j, sigma),
-                        prop_ms=spec.propagation_ms,
-                        in_flight=u,
-                    )
-                )
+                mu, w, sigma = self._known[j]
+                params.append(PathParams(mu, w, spec.propagation_ms, u))
                 stddevs.append(sigma)
         return params, stddevs
 
@@ -278,6 +274,9 @@ class LiveObject:
         self._arrived: list[bool] = [False] * (0 if coded else spec.size_packets)
         self._seq_counter = 0
         self.pulled_seqs: list[int] = []  # identities awaiting re-dispatch
+        # (packet index, payload) pairs by index, only ever popped: an ACK
+        # that finds parse_progress at or past an index releases its payload.
+        self.watchers: deque | None = None
 
     @property
     def parse_progress(self) -> int:
@@ -334,7 +333,11 @@ class _Lane:
 
 
 class Simulation:
-    """Event core: lanes, the event heap, delivery/ACK bookkeeping."""
+    """Event core: lanes, the event heap, delivery/ACK bookkeeping.
+
+    A delivery schedules its ACK only if the ACK records a gap or its object
+    has watchers; `run()` still ends with the clock at the last ACK time.
+    """
 
     def __init__(self, sources, config: SimConfig = SimConfig()):
         self.lanes = [_Lane(src) for src in sources]
@@ -346,11 +349,11 @@ class Simulation:
         self.feed = ParamFeed([lane.source.spec for lane in self.lanes], config)
         self.feed.warmup([lane.source for lane in self.lanes])
         self.clock = 0.0
+        self._last_ack_ms = 0.0  # ACK time of the latest delivery
         self._heap: list = []
         self._counter = itertools.count()
         # Driver hooks.
         self.on_arrival = None  # fn(payload, now)
-        self.on_ack = None  # fn(obj, seq, now)
         self.on_fully_sent = None  # fn(obj, now): last queued packet entered service
 
     @property
@@ -439,20 +442,22 @@ class Simulation:
             obj.on_delivery(seq)
             if obj.delivered == obj.needed and obj.completion_ms is None:
                 obj.completion_ms = time_ms
-            self.schedule(
-                time_ms + self.config.ack_return_ms, KIND_ACK, path, (obj, seq, recorded)
-            )
+            ack_ms = self._last_ack_ms = time_ms + self.config.ack_return_ms
+            if recorded is not None or obj.watchers:
+                self.schedule(ack_ms, KIND_ACK, path, (obj, recorded))
         elif kind == KIND_ACK:
-            obj, seq, recorded = payload
+            obj, recorded = payload
             if recorded is not None:
                 self.feed.windows[path].record(recorded)
-            if self.on_ack is not None:
-                self.on_ack(obj, seq, time_ms)
+            watchers = obj.watchers
+            while watchers and watchers[0][0] <= obj.parse_progress:
+                self.schedule(time_ms, KIND_ARRIVAL, payload=watchers.popleft()[1])
         return True
 
     def run(self) -> None:
         while self.step():
             pass
+        self.clock = max(self.clock, self._last_ack_ms)
 
 
 def run_transfer(sizes, scheduler: str, sources, config: SimConfig = SimConfig()):

@@ -152,7 +152,8 @@ def expand_chunked(specs) -> list[ObjectSpec]:
         elif spec.chunked:
             out.append(replace(spec, chunked=False, trigger=trig))
         else:
-            out.append(replace(spec, trigger=trig))
+            # frozen specs are shared; only a remapped trigger needs a copy
+            out.append(spec if trig is spec.trigger else replace(spec, trigger=trig))
     return out
 
 

@@ -51,6 +51,44 @@ def test_gamma_take_matches_scalar_stream():
     assert np.allclose(batched, scalars)
 
 
+def _interleaved_reads(src, total, seed):
+    """`total` delays read by a random mix of take(k) and next_delay() calls."""
+    rng = np.random.default_rng(seed)
+    out: list[float] = []
+    while len(out) < total:
+        k = min(int(rng.integers(0, 701)), total - len(out))
+        if rng.random() < 0.5:
+            out.extend(src.take(k).tolist())
+        else:
+            out.extend(src.next_delay() for _ in range(k))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mean, stddev", [(2.0, 50.0), (10.0, 0.5)])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_gamma_mixed_reads_equal_one_draw_bit_for_bit(mean, stddev, seed):
+    # Shapes 0.0016 and 400; 20,000 samples span several refills whatever
+    # the block size, and the mix never shifts or redraws a sample.
+    src = GammaSource(DelaySourceSpec(kind="gamma", mean_ms=mean, stddev_ms=stddev, seed=seed))
+    total = 20_000
+    reference = np.random.Generator(np.random.PCG64(seed)).gamma(src.shape, src.scale, size=total)
+    assert np.array_equal(_interleaved_reads(src, total, seed), reference)
+
+
+def test_trace_mixed_reads_wrap_bit_for_bit(tmp_path):
+    samples = [0.1, 2.0 / 3.0, 7.25, 1e-9, 3.5, 12.0, 0.3]
+    f = tmp_path / "t.csv"
+    f.write_text("".join(f"{i},{x!r}\n" for i, x in enumerate(samples)))
+    total = 3_000
+    reference = np.array(samples)[np.arange(total) % len(samples)]
+    assert np.array_equal(_interleaved_reads(trace_source(f), total, 5), reference)
+
+
+def test_deterministic_mixed_reads_are_constant():
+    src = make_source(DelaySourceSpec(kind="deterministic", mean_ms=2.0 / 3.0))
+    assert np.array_equal(_interleaved_reads(src, 3_000, 5), np.full(3_000, 2.0 / 3.0))
+
+
 def test_gamma_spec_requires_positive_moments():
     with pytest.raises(ConfigError):
         DelaySourceSpec(kind="gamma", mean_ms=10.0, stddev_ms=0.0, seed=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,41 @@ def test_preempted_residual_redispatch_exact(ordering, expected):
     assert pulled == ([("img", 11), ("img", 11)] if ordering == "priority" else [])
 
 
+@pytest.mark.parametrize("scheduler", ["sos", "sos_fec"])
+@pytest.mark.parametrize("ack_ms", [0.0, 10.0])
+def test_unread_acks_are_not_events(scheduler, ack_ms):
+    # Oracle mode keeps no windows and no object has a dependency watcher, so
+    # each arrival is one event and each packet served is two (service end,
+    # delivery); css preempts img, whose pulled packets are served once.
+    specs = [
+        ObjectSpec("html", 5, priority=1, connection_id="c0", chunked=True),
+        ObjectSpec("img", 9, priority=0, connection_id="c1"),
+        ObjectSpec("css", 4, priority=1, connection_id="c2", trigger=Trigger.at(6.0)),
+        ObjectSpec("js", 3, priority=1, connection_id="c2", trigger=Trigger.at(6.0)),
+    ]
+    paths = sources(gam(5, 2, seed=1), gam(7, 3, seed=2, prop=2.0))
+    engine = PriorityEngine(specs, paths, SimConfig(ack_return_ms=ack_ms), scheduler)
+    events = 0
+    while engine.sim.step():
+        events += 1
+    packets = sum(sum(r.sent_per_path) for r in engine.run())
+    assert events == len(engine.specs) + 2 * packets
+
+
+def test_estimated_page_records_every_back_to_back_gap():
+    # Watched (html, css) and unwatched (img, js) objects alike feed the
+    # windows; the contents were recorded with an ACK event per delivery.
+    cfg = SimConfig(ack_return_ms=1.5, mode="estimated", priors=((5.0, 2.0), (7.0, 3.0)))
+    paths = sources(gam(5, 2, seed=1), gam(7, 3, seed=2))
+    engine = PriorityEngine(PREEMPTION_PAGE, paths, cfg, "sos")
+    engine.run()
+    windows = [w.as_array().tolist() for w in engine.sim.feed.windows]
+    assert [len(w) for w in windows] == [9, 10]
+    assert hashlib.sha256(repr(windows).encode()).hexdigest() == (
+        "3375c93f21fc2d5a0516311a5283734f3a163d6b867232435b27987db645bb03"
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -252,3 +289,51 @@ def test_only_the_slot_object_has_queued_packets(seed, ordering, scheduler, ack_
         for conn, lives in waiting.items():
             assert lives == [engine._slots[conn][1]]
     assert len(engine.run()) == len(engine.specs)
+
+
+def _engine_outcomes():
+    """Reprs of random run_page and run_transfer outcomes over every engine knob."""
+    rng = np.random.default_rng(2024)
+    combos = [
+        (ack, mode, scheduler, ordering)
+        for ack in (0.0, 1.5, 10.0)
+        for mode in ("oracle", "estimated")
+        for scheduler in ("sos", "sos_fec", "edf", "sedpf")
+        for ordering in ("priority", "fifo")
+    ]
+    out = []
+    for i in range(288):
+        ack, mode, scheduler, ordering = combos[i % len(combos)]
+        seed = int(rng.integers(0, 2**31))
+        paths = []
+        for j in range(int(rng.integers(1, 4))):
+            prop = float(rng.choice([0.0, 0.0, 2.5, 7.0]))
+            if rng.random() < 0.2:
+                paths.append(det(float(rng.integers(1, 9)), prop))
+            else:
+                paths.append(gam(float(rng.uniform(1, 10)), float(rng.uniform(0.5, 8)),
+                                 seed=seed + j, prop=prop))
+        extra = {}
+        if mode == "estimated":
+            if i % 2:
+                extra["warmup_packets"] = int(rng.integers(2, 60))
+            else:
+                extra["priors"] = tuple((p.mean_ms, p.stddev_ms) for p in paths)
+            extra["window_capacity"] = int(rng.integers(5, 200))
+        cfg = SimConfig(ack_return_ms=ack, mode=mode, **extra)
+        if i % 3 == 2:
+            sizes = [int(s) for s in rng.integers(1, 30, size=int(rng.integers(1, 6)))]
+            out.append(repr(run_transfer(sizes, scheduler, sources(*paths), cfg)))
+        else:
+            page = random_page(rng, int(rng.integers(1, 25)), int(rng.integers(1, 6)), 0.3)
+            out.append(repr(run_page(page, sources(*paths), cfg, scheduler, ordering)))
+    return out
+
+
+def test_engine_outcomes_are_pinned():
+    # Every decision, delay read, window write and event order of the engine
+    # feeds these bytes, so a speed-up that moves a result bit fails here.
+    outcomes = _engine_outcomes()
+    assert len(outcomes) == 288
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "860ce63334c1e6136ebebd41b161b353fb530ae113c8d5c78663c5516b13ea6c"

@@ -88,6 +88,15 @@ def test_objects_serialize_and_streams_continue():
     assert recs[1].start_ms >= recs[0].completion_ms
 
 
+def test_each_transfer_starts_one_ack_return_after_the_last_delivery():
+    # the next object waits for the ACK of the previous one's last packet
+    srcs = [make_source(gam(3, 2, prop=1.5, seed=4)), make_source(gam(5, 1, seed=9))]
+    recs = run_transfer([7, 1, 12, 3], "sos", srcs, SimConfig(ack_return_ms=10.0))
+    assert recs[0].start_ms == 0.0
+    for prev, rec in zip(recs, recs[1:]):
+        assert rec.start_ms == prev.completion_ms + 10.0
+
+
 def test_estimated_mode_records_gaps():
     src = make_source(det(3.0))
     cfg = SimConfig(mode="estimated", warmup_packets=0)
