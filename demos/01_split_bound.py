@@ -31,7 +31,7 @@ for n in (1, 10, 100, 1000):
     bound = d_upper(split, [fast, steady])
     budget = 2 * math.ceil(math.log2(n + 1)) + 4
     print(
-        f"n={n:5d}  relaxed=({xs[0]:8.2f},{xs[1]:8.2f})  integer={split.counts}"
+        f"n={n:5d}  relaxed=({xs[0]:8.2f},{xs[1]:8.2f})  integer={split}"
         f"  bound={bound:9.2f}ms  evals={stats.d_upper_evals}/{budget}"
     )
 

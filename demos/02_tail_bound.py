@@ -21,10 +21,10 @@ paths = [
 
 split = solve_integer(N_PACKETS, paths)
 bound = d_upper(split, paths)
-print(f"split={split.counts}, bound={bound:.2f}ms")
+print(f"split={split}, bound={bound:.2f}ms")
 
 worst = np.zeros(N_OBJECTS)
-for (a, b), count in zip(ranges, split.counts):
+for (a, b), count in zip(ranges, split):
     if count:
         worst = np.maximum(worst, rng.uniform(a, b, size=(N_OBJECTS, count)).sum(axis=1))
 

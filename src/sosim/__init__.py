@@ -42,7 +42,6 @@ from .priority_engine import PriorityEngine, run_page
 from .scheduler_core import (
     PathParams,
     SolveStats,
-    SplitVector,
     compute_w,
     d_upper,
     solve_integer,

@@ -131,7 +131,11 @@ class TraceSource(DelaySource):
 
 def _parse_trace(path: Path) -> list[float]:
     samples: list[float] = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    with fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .scheduler_core import PathParams, SolveStats, SplitVector, solve_integer
+from .scheduler_core import PathParams, SolveStats, solve_integer
 
 DEFAULT_GAMMA = 0.5
 
@@ -23,17 +23,18 @@ DEFAULT_GAMMA = 0.5
 class FecAllocation:
     """Base split plus per-path totals including redundancy."""
 
-    base: SplitVector
+    base: tuple[int, ...]
     totals: tuple[int, ...]
-    redundancy: int
 
     def __post_init__(self):
-        if len(self.totals) != len(self.base.counts):
+        if len(self.totals) != len(self.base):
             raise ValidationError("totals and base split must have equal length")
-        if any(t < c for t, c in zip(self.totals, self.base.counts)):
+        if any(t < c for t, c in zip(self.totals, self.base)):
             raise ValidationError("per-path totals may not fall below the base split")
-        if self.redundancy != sum(self.totals) - self.base.total:
-            raise ValidationError("redundancy must equal sum(totals) - base total")
+
+    @property
+    def redundancy(self) -> int:
+        return sum(self.totals) - sum(self.base)
 
 
 def solve_fec_split(
@@ -48,13 +49,11 @@ def solve_fec_split(
     paths = list(paths)
     base = solve_integer(n, paths, stats=stats)
     if gamma == 1.0 or all(p.w == 0.0 for p in paths):
-        return FecAllocation(base=base, totals=base.counts, redundancy=0)
+        return FecAllocation(base=base, totals=base)
 
     totals = []
     for i, p in enumerate(paths):
         discounted = list(paths)
         discounted[i] = PathParams(p.mu_ms, gamma * p.w, p.prop_ms, p.in_flight)
-        eta = solve_integer(n, discounted, stats=stats)
-        totals.append(eta.counts[i])
-    totals = tuple(totals)
-    return FecAllocation(base=base, totals=totals, redundancy=sum(totals) - base.total)
+        totals.append(solve_integer(n, discounted, stats=stats)[i])
+    return FecAllocation(base=base, totals=tuple(totals))

@@ -22,6 +22,7 @@ import numpy as np
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
 from .errors import ConfigError, DomainError, UsageError, require_count
 from .estimation import nearest_rank
+from .fec import DEFAULT_GAMMA
 from .priority_engine import run_page
 from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
@@ -43,7 +44,7 @@ class ExperimentConfig:
     paths: tuple[DelaySourceSpec, ...]
     scheduler: str = "sos"
     epsilon: float = 0.05
-    gamma: float = 0.5
+    gamma: float = DEFAULT_GAMMA
     object_size: int | None = None
     page_spec: str | Path | None = None
     replications: int = 1000

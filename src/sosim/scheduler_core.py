@@ -57,25 +57,6 @@ class PathParams:
             raise ValidationError("in-flight count must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SplitVector:
-    """Per-path packet counts for one object; counts sum to total."""
-
-    counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValidationError("split counts must be nonnegative")
-        if sum(self.counts) != self.total:
-            raise ValidationError(f"split counts {self.counts} do not sum to {self.total}")
-
-    @classmethod
-    def from_counts(cls, counts) -> "SplitVector":
-        counts = tuple(int(c) for c in counts)
-        return cls(counts, sum(counts))
-
-
 @dataclass
 class SolveStats:
     """Optional instrumentation: number of bound evaluations a solve performed."""
@@ -121,20 +102,18 @@ def t_upper(n_j: int, u_j: int, params: PathParams) -> float:
     return k * params.mu_ms + math.sqrt(k) * params.w
 
 
-def d_upper(split: SplitVector, paths) -> float:
+def d_upper(counts, paths) -> float:
     """Object-level delay bound: max over paths of t_upper + propagation.
 
-    Uses each path's recorded in-flight count as the backlog offset.  A path
-    with zero allocation still contributes its propagation (and backlog) term.
+    `counts` holds one new-packet count per path, each path's recorded
+    in-flight count is its backlog offset, and a negative count is refused.
+    A path with zero allocation still contributes its propagation (and
+    backlog) term.
     """
     paths = list(paths)
-    if len(split.counts) != len(paths):
-        raise ValidationError(
-            f"split has {len(split.counts)} entries for {len(paths)} paths"
-        )
-    return max(
-        t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(split.counts, paths)
-    )
+    if len(counts) != len(paths):
+        raise ValidationError(f"split has {len(counts)} entries for {len(paths)} paths")
+    return max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
 
 
 def _check_paths(paths) -> list[PathParams]:
@@ -208,7 +187,7 @@ def solve_relaxed(n: int, paths) -> list[float]:
     return xs
 
 
-def _solve_two(n: int, paths, stats: SolveStats | None) -> SplitVector:
+def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
     """Exact integer optimum for two paths by bisection on the first count.
 
     The first path's bound rises with k and the second's falls, so their max
@@ -242,11 +221,11 @@ def _solve_two(n: int, paths, stats: SolveStats | None) -> SplitVector:
             hi = mid
         else:
             lo = mid + 1
-    return SplitVector((lo, n - lo), n)
+    return lo, n - lo
 
 
-def solve_integer(n: int, paths, stats: SolveStats | None = None) -> SplitVector:
-    """Integer split minimizing the object delay bound.
+def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
+    """Per-path packet counts (summing to n) minimizing the object delay bound.
 
     Two paths use the O(log n) bisection; more paths solve the relaxation and
     round it to the best ceil/floor corner exactly in O(m log m).  Ties prefer
@@ -257,9 +236,9 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> SplitVector
         raise ValidationError("object size must be nonnegative")
     m = len(paths)
     if n == 0:
-        return SplitVector((0,) * m, 0)
+        return (0,) * m
     if m == 1:
-        return SplitVector((n,), n)
+        return (n,)
     if m == 2:
         return _solve_two(n, paths, stats)
 
@@ -284,10 +263,10 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> SplitVector
     counts = list(floors)
     for j in [j for j, h in hi.items() if h <= level][:rem]:
         counts[j] += 1
-    return SplitVector(tuple(counts), n)
+    return tuple(counts)
 
 
-def split_object(n: int, paths, stats: SolveStats | None = None) -> SplitVector:
+def split_object(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
     """Split one object across paths, accounting for in-flight backlogs.
 
     Identical to :func:`solve_integer` (the bound already adds each path's

@@ -25,8 +25,8 @@ from .baselines import edf_assign, sedpf_assign
 from .delay_sources import DelaySource, oracle_stats
 from .errors import (ConfigError, DomainError, InfeasibleError, NoDataError,
                      ValidationError, require_count)
-from .estimation import RollingWindow, snapshot_params
-from .scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
+from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
+from .scheduler_core import PathParams, d_upper, split_object, variance_w
 from .workloads import ObjectSpec
 
 # Event kinds, in tie-break order at equal timestamps.
@@ -47,7 +47,7 @@ class SimConfig:
     ack_return_ms: float = 0.0
     mode: str = "oracle"  # oracle | estimated
     warmup_packets: int = 0
-    window_capacity: int = 5000
+    window_capacity: int = DEFAULT_WINDOW
     # Per-path (mean, stddev) for cold starts.  The older (mean, a, b, stddev)
     # form is still read, its middle entries ignored, until every caller
     # passes pairs.
@@ -116,8 +116,7 @@ class SosPolicy:
     coded = False
 
     def plan(self, n: int, params, stddevs) -> Plan:
-        split = split_object(n, params)
-        return Plan(split.counts, n)
+        return Plan(split_object(n, params), n)
 
 
 class SosFecPolicy:
@@ -129,7 +128,7 @@ class SosFecPolicy:
 
     def plan(self, n: int, params, stddevs) -> Plan:
         alloc = fec_mod.solve_fec_split(n, params, self.gamma)
-        return Plan(alloc.totals, n, base_counts=alloc.base.counts)
+        return Plan(alloc.totals, n, base_counts=alloc.base)
 
 
 class _GreedyPolicy:
@@ -368,9 +367,7 @@ class Simulation:
         if obj.start_ms is None:
             obj.start_ms = now
             bound_counts = plan.base_counts if plan.base_counts is not None else plan.counts
-            obj.d_upper_at_send = d_upper(
-                SplitVector.from_counts(bound_counts), params
-            )
+            obj.d_upper_at_send = d_upper(bound_counts, params)
         order = plan.order if plan.order is not None else dispatch_order(plan.counts, params)
         seqs = obj.next_seqs(len(order))
         per_lane: dict[int, list[tuple[LiveObject, int]]] = {}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, require_count
+from .errors import ConfigError, ParseError, ValidationError, require_count
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,11 @@ def load_page_spec(path) -> list[ObjectSpec]:
     """Parse, validate and expand a page spec file."""
     path = Path(path)
     specs: list[ObjectSpec] = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read page spec {path}: {exc}") from exc
+    with fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -131,7 +131,7 @@ def test_criterion_04_tail_guarantee():
     split = solve_integer(n, paths)
     bound = d_upper(split, paths)
     totals = np.zeros(objects)
-    for (a, b), c in zip(bounds, split.counts):
+    for (a, b), c in zip(bounds, split):
         if c:
             draws = rng.uniform(a, b, size=(objects, c)).sum(axis=1)
             totals = np.maximum(totals, draws)
@@ -256,7 +256,7 @@ def test_criterion_08_fec_never_hurts():
         feed = ParamFeed(specs, SimConfig())
         params, _ = feed.snapshot([0, 0])
         alloc = solve_fec_split(n, params, gamma)
-        if any(t < c for t, c in zip(alloc.totals, alloc.base.counts)):
+        if any(t < c for t, c in zip(alloc.totals, alloc.base)):
             ok_pairs = False
             detail = f"cfg {cfg_idx}: totals do not dominate base"
             break
@@ -267,8 +267,8 @@ def test_criterion_08_fec_never_hurts():
             draws = make_source(spec).take(reps * alloc.totals[j]).reshape(reps, -1)
             arrival = np.cumsum(draws, axis=1) if alloc.totals[j] else np.empty((reps, 0))
             arrivals.append(arrival)
-            if alloc.base.counts[j]:
-                sos_done = np.maximum(sos_done, arrival[:, alloc.base.counts[j] - 1])
+            if alloc.base[j]:
+                sos_done = np.maximum(sos_done, arrival[:, alloc.base[j] - 1])
         merged = np.concatenate(arrivals, axis=1)
         fec_done = np.partition(merged, n - 1, axis=1)[:, n - 1]
         if not np.all(fec_done <= sos_done + 1e-9):
@@ -293,7 +293,7 @@ def test_criterion_08_fec_never_hurts():
             for _ in range(m)
         ]
         alloc = solve_fec_split(n, paths, float(rng.uniform(0, 1)))
-        if any(t < c for t, c in zip(alloc.totals, alloc.base.counts)):
+        if any(t < c for t, c in zip(alloc.totals, alloc.base)):
             viol += 1
     ok = ok_pairs and viol == 0
     report(8, "redundancy never slows completion; per-path deltas nonnegative",

@@ -20,7 +20,7 @@ WILD_PLUS_STABLE = [path(10.0, 118.0), path(12.0, 7.0)]
 
 def test_gamma_one_is_plain_split():
     alloc = solve_fec_split(100, WILD_PLUS_STABLE, gamma=1.0)
-    assert alloc.totals == alloc.base.counts
+    assert alloc.totals == alloc.base
     assert alloc.redundancy == 0
     assert alloc.base == solve_integer(100, WILD_PLUS_STABLE)
 
@@ -58,7 +58,7 @@ def test_deltas_nonnegative_random():
             for _ in range(m)
         ]
         alloc = solve_fec_split(n, paths, gamma)  # constructor asserts deltas >= 0
-        deltas = [t - c for t, c in zip(alloc.totals, alloc.base.counts)]
+        deltas = [t - c for t, c in zip(alloc.totals, alloc.base)]
         assert all(d >= 0 for d in deltas)
         assert alloc.redundancy == sum(deltas)
 
@@ -79,9 +79,9 @@ def test_per_path_resolve_matches_direct_solve():
         for i in range(2):
             discounted = list(paths)
             discounted[i] = replace(paths[i], w=gamma * paths[i].w)
-            assert alloc.totals[i] == solve_integer(n, discounted).counts[i]
+            assert alloc.totals[i] == solve_integer(n, discounted)[i]
 
 
 def test_decode_threshold_without_redundancy():
     alloc = solve_fec_split(30, [path(2.0, 0.0), path(2.0, 0.0)], gamma=0.3)
-    assert alloc.base.total == 30 == sum(alloc.totals)
+    assert sum(alloc.base) == 30 == sum(alloc.totals)

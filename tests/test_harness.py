@@ -336,6 +336,22 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_missing_page_spec_exits_2(tmp_path, capsys):
+    f = tmp_path / "page.cfg"
+    f.write_text(CONFIG_TEXT.replace("object_size = 20", f"page_spec = {tmp_path / 'absent.csv'}"))
+    assert main(["page", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read page spec") and "absent.csv" in err
+
+
+def test_cli_missing_trace_exits_2(tmp_path, capsys):
+    f = tmp_path / "trace.cfg"
+    f.write_text(CONFIG_TEXT + f"\n[path]\nkind = trace\ntrace_path = {tmp_path / 'absent.csv'}\n")
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace") and "absent.csv" in err
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [("ack_return_ms = nan", "ack_return_ms"), ("warmup_packets = -7", "warmup_packets")],

@@ -174,7 +174,7 @@ def test_split_matches_backlog_replay():
     engine.run()
     assert engine.policy.calls
     for n, params, counts in engine.policy.calls:
-        assert counts == split_object(n, params).counts
+        assert counts == split_object(n, params)
 
 
 def test_run_page_refuses_fractional_size():

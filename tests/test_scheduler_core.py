@@ -14,7 +14,6 @@ from sosim.errors import DegenerateInputError, DomainError, ValidationError
 from sosim.scheduler_core import (
     PathParams,
     SolveStats,
-    SplitVector,
     compute_w,
     d_upper,
     solve_integer,
@@ -129,23 +128,27 @@ def test_t_upper_rejects_negative_counts():
 
 
 def test_d_upper_max_over_paths():
-    split = SplitVector((3, 50), 53)
     paths = [flat_path(10.0, prop=5.0), flat_path(1.0)]
-    assert d_upper(split, paths) == pytest.approx(50.0)
+    assert d_upper((3, 50), paths) == pytest.approx(50.0)
 
 
 def test_d_upper_single_path():
-    assert d_upper(SplitVector((4,), 4), [flat_path(2.0, prop=1.0)]) == pytest.approx(9.0)
+    assert d_upper((4,), [flat_path(2.0, prop=1.0)]) == pytest.approx(9.0)
 
 
 def test_d_upper_empty_object_is_max_prop():
     paths = [flat_path(3.0, prop=4.0), flat_path(1.0, prop=11.0)]
-    assert d_upper(SplitVector((0, 0), 0), paths) == pytest.approx(11.0)
+    assert d_upper((0, 0), paths) == pytest.approx(11.0)
 
 
 def test_d_upper_length_mismatch():
     with pytest.raises(ValidationError):
-        d_upper(SplitVector((1, 1), 2), [flat_path(1.0)])
+        d_upper((1, 1), [flat_path(1.0)])
+
+
+def test_d_upper_rejects_negative_count():
+    with pytest.raises(ValidationError):
+        d_upper((-1, 5), [flat_path(1.0), flat_path(2.0)])
 
 
 # -- relaxed solver ----------------------------------------------------------
@@ -199,23 +202,23 @@ def test_relaxed_wardrop_equalization_random():
 
 def test_integer_dominant_path():
     s = solve_integer(10, [flat_path(1.0), flat_path(100.0)])
-    assert s.counts == (10, 0)
+    assert s == (10, 0)
     assert d_upper(s, [flat_path(1.0), flat_path(100.0)]) == pytest.approx(10.0)
 
 
 def test_integer_symmetric_tiebreak():
     s = solve_integer(10, [flat_path(1.0), flat_path(1.0)])
-    assert s.counts == (5, 5)
+    assert s == (5, 5)
     s = solve_integer(11, [flat_path(1.0), flat_path(1.0)])
-    assert s.counts == (6, 5)  # ties prefer the lowest-index path
+    assert s == (6, 5)  # ties prefer the lowest-index path
 
 
 def test_integer_zero_object():
-    assert solve_integer(0, [flat_path(1.0), flat_path(2.0)]).counts == (0, 0)
+    assert solve_integer(0, [flat_path(1.0), flat_path(2.0)]) == (0, 0)
 
 
 def test_integer_single_path():
-    assert solve_integer(7, [flat_path(3.0)]).counts == (7,)
+    assert solve_integer(7, [flat_path(3.0)]) == (7,)
 
 
 def test_integer_matches_brute_force_two_paths():
@@ -232,7 +235,7 @@ def test_integer_matches_brute_force_two_paths():
         s = solve_integer(n, paths)
         best, counts = brute_force_two(n, paths)
         assert d_upper(s, paths) == best
-        assert s.counts == counts
+        assert s == counts
 
 
 def test_integer_eval_budget():
@@ -284,7 +287,7 @@ def test_integer_rounding_matches_corner_enumeration():
                     for _ in range(m)
                 ]
             n = int(rng.integers(1, 80))
-            assert solve_integer(n, paths).counts == corner_search(n, paths)
+            assert solve_integer(n, paths) == corner_search(n, paths)
 
 
 def test_integer_rounding_costs_two_evals_m16():
@@ -296,7 +299,7 @@ def test_integer_rounding_costs_two_evals_m16():
     stats = SolveStats(d_upper_evals=5)
     s = solve_integer(1000, paths, stats=stats)
     assert stats.d_upper_evals == 5 + 2
-    assert s.counts == corner_search(1000, paths)
+    assert s == corner_search(1000, paths)
 
 
 def test_integer_monotone_in_n():
@@ -331,7 +334,7 @@ def test_integer_scale_covariance(c, n, mu1, mu2, w1, w2, p1, p2):
     # exactly tied splits may flip by one ulp under scaling, so compare bounds:
     # the unscaled argmin must stay optimal in the scaled problem and vice versa
     assert d_upper(s2, scaled) == pytest.approx(c * d_upper(s1, paths), rel=1e-9)
-    assert d_upper(SplitVector(s1.counts, n), scaled) == pytest.approx(
+    assert d_upper(s1, scaled) == pytest.approx(
         d_upper(s2, scaled), rel=1e-9
     )
 
@@ -341,31 +344,24 @@ def test_integer_scale_covariance(c, n, mu1, mu2, w1, w2, p1, p2):
 
 def test_split_object_reduces_to_solve_integer():
     paths = [flat_path(1.0, w=2.0), flat_path(3.0, w=0.5)]
-    assert split_object(25, paths).counts == solve_integer(25, paths).counts
+    assert split_object(25, paths) == solve_integer(25, paths)
 
 
 def test_split_object_offsets_backlog():
     paths = [flat_path(1.0, u=4), flat_path(1.0)]
-    assert split_object(6, paths).counts == (1, 5)
+    assert split_object(6, paths) == (1, 5)
 
 
 def test_split_object_skips_swamped_path():
     # path 1's backlog alone exceeds path 2's full-object delay
     paths = [flat_path(1.0, u=1000), flat_path(1.0)]
     s = split_object(6, paths)
-    assert s.counts == (0, 6)
+    assert s == (0, 6)
     best, counts = brute_force_two(6, paths)
-    assert s.counts == counts
+    assert s == counts
 
 
 # -- types -------------------------------------------------------------------
-
-
-def test_split_vector_validates_sum():
-    with pytest.raises(ValidationError):
-        SplitVector((1, 2), 4)
-    with pytest.raises(ValidationError):
-        SplitVector((-1, 5), 4)
 
 
 def test_path_params_validation():

@@ -10,7 +10,7 @@ import pytest
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.errors import ConfigError, NoDataError, ValidationError
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
-from sosim.scheduler_core import PathParams, SplitVector, d_upper, split_object, variance_w
+from sosim.scheduler_core import PathParams, d_upper, split_object, variance_w
 from sosim.workloads import ObjectSpec
 from sosim.simulator import (
     LiveObject,
@@ -41,8 +41,7 @@ def test_buffer_size_formula():
         PathParams(10.0, 0.0),
         PathParams(20.0, 0.0),
     ]
-    split = SplitVector((10, 5), 15)
-    assert d_upper(split, paths) == pytest.approx(100.0)
+    assert d_upper((10, 5), paths) == pytest.approx(100.0)
 
 
 # -- run_transfer ------------------------------------------------------------

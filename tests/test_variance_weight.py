@@ -14,7 +14,7 @@ import scipy.stats
 
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.estimation import RollingWindow, snapshot_params
-from sosim.scheduler_core import SplitVector, d_upper
+from sosim.scheduler_core import d_upper
 from sosim.simulator import ParamFeed, SimConfig, make_policy
 
 EPSILON = 0.05
@@ -53,10 +53,10 @@ def test_sos_exceeds_its_bound_at_most_epsilon(n):
     # is exact.
     specs = [gamma_path(10.0, 50.0), gamma_path(12.0, 1.0)]
     params, stddevs = ParamFeed(specs, SimConfig(epsilon=EPSILON)).snapshot([0, 0])
-    split = SplitVector.from_counts(make_policy("sos").plan(n, params, stddevs).counts)
-    bound = d_upper(split, params)
+    counts = make_policy("sos").plan(n, params, stddevs).counts
+    bound = d_upper(counts, params)
     p_within = 1.0
-    for spec, count in zip(specs, split.counts):
+    for spec, count in zip(specs, counts):
         if count:
             shape = (spec.mean_ms / spec.stddev_ms) ** 2 * count
             p_within *= scipy.stats.gamma.cdf(bound, shape, scale=spec.stddev_ms**2 / spec.mean_ms)
