@@ -8,6 +8,7 @@ from dataclasses import replace
 
 from .errors import SosimError, UsageError
 from .harness import SWEEP_AXES, _run_paired, parse_config, run_sweep, write_csv
+from .priority_engine import ORDERINGS
 from .simulator import SCHEDULERS
 
 
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(page)
     page.add_argument("--page-spec", default=None, help="override page spec file")
     page.add_argument(
-        "--ordering", choices=["priority", "fifo"], default=None,
+        "--ordering", choices=list(ORDERINGS), default=None,
         help="dispatch pending objects by priority or in request order",
     )
     return parser

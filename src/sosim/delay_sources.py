@@ -132,29 +132,28 @@ class TraceSource(DelaySource):
 def _parse_trace(path: Path) -> list[float]:
     samples: list[float] = []
     try:
-        fh = open(path)
-    except OSError as exc:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line_no == 1 and line.replace(" ", "") == "seq,delay_ms":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, "expected two columns 'seq,delay_ms'")
-            try:
-                int(parts[0])
-                delay = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"unparseable value: {exc}") from exc
-            if not math.isfinite(delay):
-                raise ParseError(path, line_no, f"non-finite delay {parts[1].strip()!r}")
-            if delay < 0:
-                raise ValidationError(f"{path}:{line_no}: negative delay {delay}")
-            samples.append(delay)
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line_no == 1 and line.replace(" ", "") == "seq,delay_ms":
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "expected two columns 'seq,delay_ms'")
+        try:
+            int(parts[0])
+            delay = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"unparseable value: {exc}") from exc
+        if not math.isfinite(delay):
+            raise ParseError(path, line_no, f"non-finite delay {parts[1].strip()!r}")
+        if delay < 0:
+            raise ValidationError(f"{path}:{line_no}: negative delay {delay}")
+        samples.append(delay)
     if not samples:
         raise ConfigError(f"trace file {path} contains no samples")
     return samples

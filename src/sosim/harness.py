@@ -23,7 +23,7 @@ from .delay_sources import DelaySourceSpec, make_source, oracle_stats
 from .errors import ConfigError, DomainError, UsageError, require_count
 from .estimation import nearest_rank
 from .fec import DEFAULT_GAMMA
-from .priority_engine import run_page
+from .priority_engine import ORDERINGS, run_page
 from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
 
@@ -67,6 +67,8 @@ class ExperimentConfig:
             require_count("object_size", self.object_size, 1, UsageError)
         if self.mode not in ("oracle", "estimated"):
             raise UsageError(f"unknown mode {self.mode!r}")
+        if self.ordering not in ORDERINGS:
+            raise UsageError(f"unknown ordering {self.ordering!r}")
         require_count("warmup_packets", self.warmup_packets, 0, UsageError)
         require_count("seed", self.seed, 0, UsageError)  # numpy SeedSequence entropy
 
@@ -221,7 +223,7 @@ def _apply_axis(config: ExperimentConfig, axis: str, value, axis_path: int) -> E
     if axis == "object_size":
         if config.object_size is None:
             raise UsageError("object_size sweeps need a fixed-size workload")
-        return replace(config, object_size=int(value))
+        return replace(config, object_size=value)
     if axis == "gamma":
         if config.scheduler != "sos_fec":
             raise UsageError("gamma sweeps only apply to the sos_fec scheduler")
@@ -310,7 +312,7 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     global_kv: dict = {}
     path_blocks: list[dict] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .simulator import KIND_ARRIVAL, LiveObject, SimConfig, Simulation, make_policy
 from .workloads import (
     ObjectQueue,
@@ -27,6 +27,8 @@ from .workloads import (
     maybe_preempt,
     validate_specs,
 )
+
+ORDERINGS = ("priority", "fifo")
 
 
 class PriorityEngine:
@@ -40,7 +42,7 @@ class PriorityEngine:
         scheduler: str = "sos",
         ordering: str = "priority",
     ):
-        if ordering not in ("priority", "fifo"):
+        if ordering not in ORDERINGS:
             raise ConfigError(f"unknown ordering {ordering!r}")
         self.specs = expand_chunked(validate_specs(specs))
         self.ordering = ordering
@@ -60,8 +62,6 @@ class PriorityEngine:
             trig = spec.trigger
             if trig.kind != "dep":
                 self.sim.schedule(trig.at_ms, KIND_ARRIVAL, payload=spec)
-            elif trig.dep_id not in self.lives:
-                raise ValidationError(f"unknown dependency target {trig.dep_id!r}")
             else:
                 watch.setdefault(trig.dep_id, []).append((trig.dep_packet, spec))
         for target, watchers in watch.items():

@@ -16,11 +16,14 @@ from measurements (oracle statistics or an estimation window) use
 then holds when the delays are sub-Gaussian with that proxy.  :func:`compute_w`
 is Hoeffding's form for delays that truly lie in [a, b].
 
-The solvers minimize d_upper over integer splits: a water-level bisection for
+The solvers choose integer splits by d_upper: a water-level bisection for
 the fractional relaxation (all used paths end up with equal t_upper + prop,
-the Wardrop condition), an exact O(m log m) ceil/floor rounding of it that
-returns the best corner without enumerating the corners, and a direct
-O(log n) bisection on the packet count for the two-path case.
+the Wardrop condition), an O(m log m) ceil/floor rounding of it that returns
+the best corner without enumerating the corners, and a direct O(log n)
+bisection on the packet count for the two-path case.  The two-path bisection
+returns the integer optimum.  With three or more paths the best corner is not
+always the integer optimum, because an optimal split may give a path a count
+that is neither the floor nor the ceil of its relaxed share.
 """
 
 from __future__ import annotations
@@ -225,11 +228,13 @@ def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
 
 
 def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
-    """Per-path packet counts (summing to n) minimizing the object delay bound.
+    """Per-path packet counts (summing to n) chosen by the object delay bound.
 
-    Two paths use the O(log n) bisection; more paths solve the relaxation and
-    round it to the best ceil/floor corner exactly in O(m log m).  Ties prefer
-    giving more packets to the lowest-index path.
+    Two paths use the O(log n) bisection, which minimizes the bound over all
+    integer splits.  More paths solve the relaxation and return its best
+    ceil/floor corner in O(m log m); that corner can have a higher bound than
+    the integer optimum.  Ties prefer giving more packets to the lowest-index
+    path.
     """
     paths = _check_paths(paths)
     if n < 0:

@@ -26,7 +26,7 @@ from .delay_sources import DelaySource, oracle_stats
 from .errors import (ConfigError, DomainError, InfeasibleError, NoDataError,
                      ValidationError, require_count)
 from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
-from .scheduler_core import PathParams, d_upper, split_object, variance_w
+from .scheduler_core import PathParams, split_object, variance_w
 from .workloads import ObjectSpec
 
 # Event kinds, in tie-break order at equal timestamps.
@@ -82,15 +82,14 @@ def _prior(entry) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TransferRecord:
-    """Per-object simulation outcome."""
+    """Per-object outcome: first-dispatch and completion times, the packets
+    each path carried (pulled ones excluded) and how many were redundancy."""
 
     object_id: str
     start_ms: float
     completion_ms: float
     sent_per_path: tuple[int, ...]
     redundancy: int
-    hol_buffer_peak: int
-    d_upper_at_send: float
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,8 @@ class ParamFeed:
 
 
 class LiveObject:
-    """Runtime state of one object moving through the engine."""
+    """Runtime state of one object: its packet counts through dispatch,
+    service and delivery, and the in-order prefix behind `parse_progress`."""
 
     def __init__(self, spec: ObjectSpec, n_paths: int, coded: bool):
         self.spec = spec
@@ -268,8 +268,6 @@ class LiveObject:
         self.sent_per_path = [0] * n_paths
         self.start_ms: float | None = None
         self.completion_ms: float | None = None
-        self.d_upper_at_send: float | None = None
-        self.buffer_peak = 0
         self._arrived: list[bool] = [False] * (0 if coded else spec.size_packets)
         self._seq_counter = 0
         self.pulled_seqs: list[int] = []  # identities awaiting re-dispatch
@@ -295,16 +293,10 @@ class LiveObject:
     def on_delivery(self, seq: int) -> None:
         self.delivered += 1
         self.outstanding -= 1
-        if self.coded:
-            occupancy = self.delivered if self.delivered < self.needed else 0
-        else:
-            if seq < len(self._arrived):
-                self._arrived[seq] = True
+        if not self.coded:
+            self._arrived[seq] = True
             while self.released < len(self._arrived) and self._arrived[self.released]:
                 self.released += 1
-            occupancy = self.delivered - self.released
-        if occupancy > self.buffer_peak:
-            self.buffer_peak = occupancy
 
     def record(self) -> TransferRecord:
         if self.completion_ms is None or self.start_ms is None:
@@ -315,8 +307,6 @@ class LiveObject:
             completion_ms=self.completion_ms,
             sent_per_path=tuple(self.sent_per_path),
             redundancy=sum(self.sent_per_path) - self.needed,
-            hol_buffer_peak=self.buffer_peak,
-            d_upper_at_send=self.d_upper_at_send if self.d_upper_at_send is not None else 0.0,
         )
 
 
@@ -366,8 +356,6 @@ class Simulation:
         """Enqueue one planned segment of an object across the lanes."""
         if obj.start_ms is None:
             obj.start_ms = now
-            bound_counts = plan.base_counts if plan.base_counts is not None else plan.counts
-            obj.d_upper_at_send = d_upper(bound_counts, params)
         order = plan.order if plan.order is not None else dispatch_order(plan.counts, params)
         seqs = obj.next_seqs(len(order))
         per_lane: dict[int, list[tuple[LiveObject, int]]] = {}

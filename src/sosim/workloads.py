@@ -162,30 +162,29 @@ def load_page_spec(path) -> list[ObjectSpec]:
     path = Path(path)
     specs: list[ObjectSpec] = []
     try:
-        fh = open(path)
-    except OSError as exc:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read page spec {path}: {exc}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 6:
-                raise ParseError(path, line_no, "expected 6 columns "
-                                 "'id,size_packets,dom,connection_id,chunked,trigger'")
-            try:
-                spec = ObjectSpec(
-                    id=parts[0],
-                    size_packets=int(parts[1]),
-                    priority=int(parts[2]),
-                    connection_id=parts[3],
-                    chunked=bool(int(parts[4])),
-                    trigger=Trigger.parse(parts[5]),
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            specs.append(spec)
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 6:
+            raise ParseError(path, line_no, "expected 6 columns "
+                             "'id,size_packets,dom,connection_id,chunked,trigger'")
+        try:
+            spec = ObjectSpec(
+                id=parts[0],
+                size_packets=int(parts[1]),
+                priority=int(parts[2]),
+                connection_id=parts[3],
+                chunked=bool(int(parts[4])),
+                trigger=Trigger.parse(parts[5]),
+            )
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        specs.append(spec)
     return expand_chunked(validate_specs(specs))
 
 

@@ -148,6 +148,8 @@ def test_sweep_axis_mismatch():
         run_sweep(small(), "sigma", [1.0], axis_path=5)
     with pytest.raises(UsageError):
         run_sweep(small(), "unknown_axis", [1.0])
+    with pytest.raises(UsageError):
+        run_sweep(small(), "object_size", [2.5, 7.9])  # no silent truncation
 
 
 def test_object_size_sweep():
@@ -331,30 +333,43 @@ def test_cli_page_estimated_without_warmup_exits_2(tmp_path, capsys):
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.cfg"
-    f.write_text("nonsense\n")
-    assert main(["run", "--config", str(f)]) == 2
-    assert "error:" in capsys.readouterr().err
+    # a malformed line, then a byte that is not UTF-8
+    for content, message in ((b"nonsense\n", "error:"),
+                             (b"seed = 1\xff\n", "error: cannot read config")):
+        f.write_bytes(content)
+        assert main(["run", "--config", str(f)]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_missing_page_spec_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"html,2,1,c1,1,t0\xff\n")
     f = tmp_path / "page.cfg"
-    f.write_text(CONFIG_TEXT.replace("object_size = 20", f"page_spec = {tmp_path / 'absent.csv'}"))
-    assert main(["page", "--config", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot read page spec") and "absent.csv" in err
+    for spec in (tmp_path / "absent.csv", undecodable):
+        f.write_text(CONFIG_TEXT.replace("object_size = 20", f"page_spec = {spec}"))
+        assert main(["page", "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read page spec") and spec.name in err
 
 
 def test_cli_missing_trace_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"0,2.0\n1,3.0\xff\n")
     f = tmp_path / "trace.cfg"
-    f.write_text(CONFIG_TEXT + f"\n[path]\nkind = trace\ntrace_path = {tmp_path / 'absent.csv'}\n")
-    assert main(["run", "--config", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot read trace") and "absent.csv" in err
+    for trace in (tmp_path / "absent.csv", undecodable):
+        f.write_text(CONFIG_TEXT + f"\n[path]\nkind = trace\ntrace_path = {trace}\n")
+        assert main(["run", "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace") and trace.name in err
 
 
 @pytest.mark.parametrize(
     "setting, message",
-    [("ack_return_ms = nan", "ack_return_ms"), ("warmup_packets = -7", "warmup_packets")],
+    [
+        ("ack_return_ms = nan", "ack_return_ms"),
+        ("warmup_packets = -7", "warmup_packets"),
+        ("ordering = bogus", "ordering"),
+    ],
 )
 def test_cli_out_of_domain_setting_exits_2(tmp_path, capsys, setting, message):
     f = tmp_path / "bad.cfg"

@@ -336,4 +336,4 @@ def test_engine_outcomes_are_pinned():
     outcomes = _engine_outcomes()
     assert len(outcomes) == 288
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "860ce63334c1e6136ebebd41b161b353fb530ae113c8d5c78663c5516b13ea6c"
+    assert digest == "9d4c528ce25bf5c0c9e3177cfffbb794fbca08544121f3c79d13b1c9aada02d8"

@@ -286,6 +286,12 @@ def test_integer_rounding_matches_corner_enumeration():
                     )
                     for _ in range(m)
                 ]
+            if trial % 3 == 0:
+                # zero-mean paths (w > 0): their bound grows only as sqrt(x + u)
+                paths = [
+                    PathParams(0.0, p.w + 1.0, p.prop_ms, p.in_flight) if rng.random() < 0.3 else p
+                    for p in paths
+                ]
             n = int(rng.integers(1, 80))
             assert solve_integer(n, paths) == corner_search(n, paths)
 

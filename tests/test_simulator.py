@@ -10,7 +10,7 @@ import pytest
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.errors import ConfigError, NoDataError, ValidationError
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
-from sosim.scheduler_core import PathParams, d_upper, split_object, variance_w
+from sosim.scheduler_core import PathParams, d_upper, variance_w
 from sosim.workloads import ObjectSpec
 from sosim.simulator import (
     LiveObject,
@@ -234,32 +234,6 @@ def test_engine_matches_vectorized_runner():
             )
             slow = np.array([r.completion_ms - r.start_ms for r in recs])
             assert np.allclose(fast, slow, rtol=1e-9), (scheduler, mode)
-
-
-def test_hol_buffer_stays_within_sized_window():
-    # stable fast path plus variable slower path; occupancy must fit the
-    # sized buffer in >= 95% of runs
-    specs = [gam(10, 1, seed=21), gam(12, 20, seed=22)]
-    sources = [make_source(s) for s in specs]
-    cfg = SimConfig()
-    feed = ParamFeed(specs, cfg)
-    params, _ = feed.snapshot([0, 0])
-    split = split_object(100, params)
-    # in-order receive buffer sized as ceil(sum over paths of D_U / mu)
-    size = math.ceil(sum(d_upper(split, params) / p.mu_ms for p in params))
-    recs = run_transfer([100] * 200, "sos", sources, cfg)
-    ok = sum(1 for r in recs if r.hol_buffer_peak <= size)
-    assert ok >= 0.95 * len(recs)
-
-
-def test_d_upper_at_send_recorded():
-    specs = [gam(10, 1, seed=2), gam(12, 5, seed=3)]
-    cfg = SimConfig()
-    feed = ParamFeed(specs, cfg)
-    params, _ = feed.snapshot([0, 0])
-    split = split_object(40, params)
-    rec = run_transfer([40], "sos", [make_source(s) for s in specs], cfg)[0]
-    assert rec.d_upper_at_send == pytest.approx(d_upper(split, params))
 
 
 def test_trace_sources_drive_the_engine(tmp_path):
