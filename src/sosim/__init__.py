@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import RollingWindow, snapshot_params
-from .fec import FecAllocation, solve_fec_split
+from .fec import solve_fec_split
 from .harness import (
     ExperimentConfig,
     MetricsRow,
@@ -41,6 +41,7 @@ from .harness import (
 from .priority_engine import PriorityEngine, run_page
 from .scheduler_core import (
     PathParams,
+    Plan,
     SolveStats,
     compute_w,
     d_upper,
@@ -51,7 +52,6 @@ from .scheduler_core import (
     variance_w,
 )
 from .simulator import (
-    Plan,
     SimConfig,
     TransferRecord,
     make_policy,

@@ -9,7 +9,7 @@ from dataclasses import replace
 from .errors import SosimError, UsageError
 from .harness import SWEEP_AXES, _run_paired, parse_config, run_sweep, write_csv
 from .priority_engine import ORDERINGS
-from .simulator import SCHEDULERS
+from .simulator import MODES, SCHEDULERS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -17,7 +17,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override root seed")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     parser.add_argument(
-        "--mode", choices=["oracle", "estimated"], default=None,
+        "--mode", choices=list(MODES), default=None,
         help="parameter feed: true source parameters or rolling-window estimates",
     )
     parser.add_argument(

@@ -11,30 +11,10 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError, ValidationError
-from .scheduler_core import PathParams, SolveStats, solve_integer
+from .errors import DomainError
+from .scheduler_core import PathParams, Plan, SolveStats, solve_integer
 
 DEFAULT_GAMMA = 0.5
-
-
-@dataclass(frozen=True)
-class FecAllocation:
-    """Base split plus per-path totals including redundancy."""
-
-    base: tuple[int, ...]
-    totals: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.totals) != len(self.base):
-            raise ValidationError("totals and base split must have equal length")
-        if any(t < c for t, c in zip(self.totals, self.base)):
-            raise ValidationError("per-path totals may not fall below the base split")
-
-    @property
-    def redundancy(self) -> int:
-        return sum(self.totals) - sum(self.base)
 
 
 def solve_fec_split(
@@ -42,18 +22,22 @@ def solve_fec_split(
     paths,
     gamma: float = DEFAULT_GAMMA,
     stats: SolveStats | None = None,
-) -> FecAllocation:
-    """Per-path send counts with gamma-discounted redundancy."""
+) -> Plan:
+    """Per-path send counts with gamma-discounted redundancy.
+
+    The plan's threshold is n, the decode threshold, and its `base_counts`
+    is the plain split the totals grow from.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
     paths = list(paths)
     base = solve_integer(n, paths, stats=stats)
     if gamma == 1.0 or all(p.w == 0.0 for p in paths):
-        return FecAllocation(base=base, totals=base)
+        return Plan(base, n, base_counts=base)
 
     totals = []
     for i, p in enumerate(paths):
         discounted = list(paths)
         discounted[i] = PathParams(p.mu_ms, gamma * p.w, p.prop_ms, p.in_flight)
         totals.append(solve_integer(n, discounted, stats=stats)[i])
-    return FecAllocation(base=base, totals=tuple(totals))
+    return Plan(tuple(totals), n, base_counts=base)

@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainError, UsageError, require_count
 from .estimation import nearest_rank
 from .fec import DEFAULT_GAMMA
 from .priority_engine import ORDERINGS, run_page
-from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
+from .simulator import MODES, SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
 
 CSV_COLUMNS = (
@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise UsageError("configure exactly one of object_size or page_spec")
         if self.object_size is not None:
             require_count("object_size", self.object_size, 1, UsageError)
-        if self.mode not in ("oracle", "estimated"):
+        if self.mode not in MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.ordering not in ORDERINGS:
             raise UsageError(f"unknown ordering {self.ordering!r}")

@@ -67,9 +67,8 @@ class PriorityEngine:
         for target, watchers in watch.items():
             self.lives[target].watchers = deque(sorted(watchers, key=lambda kv: kv[0]))
 
-        self._in_drain = False
         self.sim.on_arrival = self._handle_arrival
-        self.sim.on_fully_sent = lambda obj, now: self._drain(now)
+        self.sim.on_fully_sent = self._drain
 
     # -- event handlers -----------------------------------------------------
 
@@ -84,24 +83,15 @@ class PriorityEngine:
         return {conn for conn, (_, live) in self._slots.items() if live.unserved > 0}
 
     def _drain(self, now: float) -> None:
-        # Dispatching can unblock further objects (fully-sent notifications
-        # arrive reentrantly); the scan-dispatch loop absorbs them, so nested
-        # calls simply return.
-        if self._in_drain:
-            return
-        self._in_drain = True
-        try:
-            while True:
-                cand = self.queue.next_ready_object(self._busy())
-                if cand is None:
-                    return
-                if self.ordering == "priority":
-                    self._preempt_for(cand)
-                live = self.lives[cand.id]
-                self._slots[cand.connection_id] = (self.queue.take(cand), live)
-                self._dispatch(live, now)
-        finally:
-            self._in_drain = False
+        # A dispatch can start an object's last queued packet and so free its
+        # connection; the simulator does not report that from inside
+        # dispatch, and the loop's next scan sees the connection free.
+        while (cand := self.queue.next_ready_object(self._busy())) is not None:
+            if self.ordering == "priority":
+                self._preempt_for(cand)
+            live = self.lives[cand.id]
+            self._slots[cand.connection_id] = (self.queue.take(cand), live)
+            self._dispatch(live, now)
 
     def _preempt_for(self, candidate: ObjectSpec) -> None:
         for seq, live in self._slots.values():
@@ -122,8 +112,7 @@ class PriorityEngine:
 
     def run(self) -> list:
         """Process every event; returns one record per expanded spec, in order."""
-        while self.sim.step():
-            pass
+        self.sim.run()
         return [self.lives[spec.id].record() for spec in self.specs]
 
 

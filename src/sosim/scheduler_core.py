@@ -67,6 +67,20 @@ class SolveStats:
     d_upper_evals: int = 0
 
 
+@dataclass(frozen=True)
+class Plan:
+    """One dispatch decision: per-path send counts plus decode threshold."""
+
+    counts: tuple[int, ...]
+    threshold: int
+    base_counts: tuple[int, ...] | None = None  # redundancy-free split (FEC only)
+    order: tuple[int, ...] | None = None  # per-packet path sequence (baselines)
+
+    @property
+    def redundancy(self) -> int:
+        return sum(self.counts) - self.threshold
+
+
 def compute_w(epsilon_j: float, a_ms: float, b_ms: float) -> float:
     """Hoeffding variability weight sqrt(-ln(eps_j) * (b - a)^2 / 2).
 

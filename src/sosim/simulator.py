@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import DelaySource, oracle_stats
-from .errors import (ConfigError, DomainError, InfeasibleError, NoDataError,
-                     ValidationError, require_count)
+from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, require_count
 from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
-from .scheduler_core import PathParams, split_object, variance_w
+from .scheduler_core import PathParams, Plan, split_object, variance_w
 from .workloads import ObjectSpec
 
 # Event kinds, in tie-break order at equal timestamps.
@@ -36,6 +35,7 @@ KIND_DELIVERED = 2    # packet_delivered (receiver side)
 KIND_ACK = 3          # ack_observed (sender side)
 
 SCHEDULERS = ("sos", "sos_fec", "edf", "sedpf")
+MODES = ("oracle", "estimated")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SimConfig:
     epsilon: float = 0.05
     gamma: float = fec_mod.DEFAULT_GAMMA
     ack_return_ms: float = 0.0
-    mode: str = "oracle"  # oracle | estimated
+    mode: str = "oracle"  # one of MODES
     warmup_packets: int = 0
     window_capacity: int = DEFAULT_WINDOW
     # Per-path (mean, stddev) for cold starts.  The older (mean, a, b, stddev)
@@ -56,7 +56,7 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.mode not in ("oracle", "estimated"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
         if not 0.0 <= self.ack_return_ms < math.inf:  # NaN fails both comparisons
             raise ConfigError(
@@ -92,26 +92,11 @@ class TransferRecord:
     redundancy: int
 
 
-@dataclass(frozen=True)
-class Plan:
-    """One dispatch decision: per-path send counts plus decode threshold."""
-
-    counts: tuple[int, ...]
-    threshold: int
-    base_counts: tuple[int, ...] | None = None  # redundancy-free split (FEC only)
-    order: tuple[int, ...] | None = None  # per-packet path sequence (baselines)
-
-    @property
-    def redundancy(self) -> int:
-        return sum(self.counts) - self.threshold
-
-
 # ---------------------------------------------------------------------------
 # Scheduling policies
 
 
 class SosPolicy:
-    name = "sos"
     coded = False
 
     def plan(self, n: int, params, stddevs) -> Plan:
@@ -119,15 +104,13 @@ class SosPolicy:
 
 
 class SosFecPolicy:
-    name = "sos_fec"
     coded = True
 
     def __init__(self, gamma: float = fec_mod.DEFAULT_GAMMA):
         self.gamma = gamma
 
     def plan(self, n: int, params, stddevs) -> Plan:
-        alloc = fec_mod.solve_fec_split(n, params, self.gamma)
-        return Plan(alloc.totals, n, base_counts=alloc.base)
+        return fec_mod.solve_fec_split(n, params, self.gamma)
 
 
 class _GreedyPolicy:
@@ -140,12 +123,10 @@ class _GreedyPolicy:
 
 
 class EdfPolicy(_GreedyPolicy):
-    name = "edf"
     assign = staticmethod(edf_assign)
 
 
 class SedpfPolicy(_GreedyPolicy):
-    name = "sedpf"
     assign = staticmethod(sedpf_assign)
 
 
@@ -281,13 +262,12 @@ class LiveObject:
         return self.delivered if self.coded else self.released
 
     def next_seqs(self, count: int) -> list[int]:
-        if not self.coded and self.pulled_seqs:
-            take, self.pulled_seqs = self.pulled_seqs[:count], self.pulled_seqs[count:]
-            if len(take) < count:
-                raise ValidationError("residual dispatch exceeds pulled packets")
-            return take
-        seqs = list(range(self._seq_counter, self._seq_counter + count))
-        self._seq_counter += count
+        """Packet identities for `count` sends: pulled ones first, then fresh."""
+        seqs = self.pulled_seqs[:count]
+        del self.pulled_seqs[:count]
+        start = self._seq_counter
+        self._seq_counter += count - len(seqs)
+        seqs.extend(range(start, self._seq_counter))
         return seqs
 
     def on_delivery(self, seq: int) -> None:
@@ -341,9 +321,9 @@ class Simulation:
         self._last_ack_ms = 0.0  # ACK time of the latest delivery
         self._heap: list = []
         self._counter = itertools.count()
-        # Driver hooks.
+        # Driver hooks, called from `step` only, never from inside `dispatch`.
         self.on_arrival = None  # fn(payload, now)
-        self.on_fully_sent = None  # fn(obj, now): last queued packet entered service
+        self.on_fully_sent = None  # fn(now): service began on an object's last queued packet
 
     @property
     def in_flight(self) -> tuple[int, ...]:
@@ -357,19 +337,16 @@ class Simulation:
         if obj.start_ms is None:
             obj.start_ms = now
         order = plan.order if plan.order is not None else dispatch_order(plan.counts, params)
-        seqs = obj.next_seqs(len(order))
-        per_lane: dict[int, list[tuple[LiveObject, int]]] = {}
-        for seq, j in zip(seqs, order):
-            per_lane.setdefault(j, []).append((obj, seq))
-        for j, items in per_lane.items():
-            lane = self.lanes[j]
-            lane.queue.extend(items)
-            lane.u += len(items)
-            obj.outstanding += len(items)
-            obj.unserved += len(items)
-            obj.sent_per_path[j] += len(items)
-        for j in per_lane:
-            self._kick(j, now, continuation=False)
+        for seq, j in zip(obj.next_seqs(len(order)), order):
+            self.lanes[j].queue.append((obj, seq))
+        obj.outstanding += len(order)
+        obj.unserved += len(order)
+        # Events order by path before insertion, so kick order moves none.
+        for j, count in enumerate(plan.counts):
+            if count:
+                self.lanes[j].u += count
+                obj.sent_per_path[j] += count
+                self._kick(j, now, continuation=False)
 
     def pull_unserved(self, obj: LiveObject) -> int:
         """Remove an object's queued (unserved) packets from all lanes."""
@@ -378,24 +355,21 @@ class Simulation:
             kept = deque(item for item in lane.queue if item[0] is not obj)
             pulled = len(lane.queue) - len(kept)
             if pulled:
-                if not obj.coded:
-                    obj.pulled_seqs.extend(
-                        seq for o, seq in lane.queue if o is obj
-                    )
+                obj.pulled_seqs.extend(seq for o, seq in lane.queue if o is obj)
                 lane.queue = kept
                 lane.u -= pulled
                 obj.outstanding -= pulled
                 obj.unserved -= pulled
                 obj.sent_per_path[j] -= pulled
                 pulled_total += pulled
-        if not obj.coded:
-            obj.pulled_seqs.sort()
+        obj.pulled_seqs.sort()
         return pulled_total
 
-    def _kick(self, j: int, now: float, continuation: bool) -> None:
+    def _kick(self, j: int, now: float, continuation: bool) -> LiveObject | None:
+        """Start serving lane j's next packet, if idle; returns its object."""
         lane = self.lanes[j]
         if lane.serving or not lane.queue:
-            return
+            return None
         obj, seq = lane.queue.popleft()
         gap = lane.source.next_delay()
         end = now + gap
@@ -405,8 +379,7 @@ class Simulation:
         self.schedule(end, KIND_SERVER_FREE, j)
         self.schedule(end + lane.prop_ms, KIND_DELIVERED, j, (obj, seq, recorded))
         obj.unserved -= 1
-        if obj.unserved == 0 and self.on_fully_sent is not None:
-            self.on_fully_sent(obj, now)
+        return obj
 
     def step(self) -> bool:
         """Process one event; returns False once the heap is empty."""
@@ -418,9 +391,10 @@ class Simulation:
             if self.on_arrival is not None:
                 self.on_arrival(payload, time_ms)
         elif kind == KIND_SERVER_FREE:
-            lane = self.lanes[path]
-            lane.serving = False
-            self._kick(path, time_ms, continuation=True)
+            self.lanes[path].serving = False
+            obj = self._kick(path, time_ms, continuation=True)
+            if obj is not None and obj.unserved == 0 and self.on_fully_sent is not None:
+                self.on_fully_sent(time_ms)
         elif kind == KIND_DELIVERED:
             obj, seq, recorded = payload
             self.lanes[path].u -= 1

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError, require_count
 
+MAX_RANDOM_SIZE = 12  # largest object random_page draws, in packets
+
 
 @dataclass(frozen=True)
 class Trigger:
@@ -135,7 +137,8 @@ def expand_chunked(specs) -> list[ObjectSpec]:
 
     Dependencies into a chunked object are remapped onto the matching unit.
     Units inherit the parent trigger; request order within the connection
-    preserves their byte order.
+    preserves their byte order.  A unit id `id#k` that another object already
+    uses is refused.
     """
     unit_of: dict[str, str] = {}  # (parent id) -> unit id prefix
     out: list[ObjectSpec] = []
@@ -154,6 +157,11 @@ def expand_chunked(specs) -> list[ObjectSpec]:
         else:
             # frozen specs are shared; only a remapped trigger needs a copy
             out.append(spec if trig is spec.trigger else replace(spec, trigger=trig))
+    seen: set[str] = set()
+    for spec in out:
+        if spec.id in seen:
+            raise ValidationError(f"duplicate object id {spec.id!r} after chunk expansion")
+        seen.add(spec.id)
     return out
 
 
@@ -245,7 +253,6 @@ def random_page(
     n_objects: int,
     n_connections: int,
     dom_fraction: float,
-    max_size: int = 12,
 ) -> list[ObjectSpec]:
     """Randomized page graph shaped like real page loads.
 
@@ -267,7 +274,7 @@ def random_page(
     dom_conns = max(1, n_connections // 3) if n_connections > 1 else 1
 
     specs: list[ObjectSpec] = []
-    root_size = max(int(rng.integers(2, max_size + 1)), 2)
+    root_size = max(int(rng.integers(2, MAX_RANDOM_SIZE + 1)), 2)
     head = max(1, root_size // 3)  # packets that discover render-critical content
     specs.append(
         ObjectSpec(
@@ -280,7 +287,7 @@ def random_page(
         )
     )
     for i in range(1, n_objects):
-        size = int(rng.integers(1, max_size + 1))
+        size = int(rng.integers(1, MAX_RANDOM_SIZE + 1))
         if i in dom_ids:
             parents = [s for s in specs if s.is_dom]
             parent = parents[int(rng.integers(0, len(parents)))]

@@ -183,6 +183,26 @@ def test_run_page_refuses_fractional_size():
         run_page([ObjectSpec("a", 2.5, priority=1)], sources(det(1.0)), SimConfig())
 
 
+def test_engine_refuses_chunk_unit_id_collision():
+    specs = [
+        ObjectSpec("a", 2, priority=1, chunked=True),
+        ObjectSpec("a#1", 3, priority=0, connection_id="c2"),
+    ]
+    with pytest.raises(ValidationError, match="'a#1'"):
+        PriorityEngine(specs, sources(det(1.0)), SimConfig())
+
+
+def test_fully_sent_from_dispatch_and_from_service():
+    # One connection takes its next object once the last one is fully sent.
+    # A and B start service inside their own dispatch, so A-C go out in one
+    # drain; C queues behind A, and D goes when C enters service at 2 ms.
+    specs = [ObjectSpec(name, 1) for name in "ABCD"]
+    recs, _ = run_page(specs, sources(det(2.0), det(3.0)), SimConfig(), "sos")
+    assert [r.start_ms for r in recs] == [0.0, 0.0, 0.0, 2.0]
+    assert [r.completion_ms for r in recs] == [2.0, 3.0, 4.0, 6.0]
+    assert [r.sent_per_path for r in recs] == [(1, 0), (0, 1), (1, 0), (1, 0)]
+
+
 # html's early packets request img (plain, c1), css and js (DOM, c2): css
 # preempts img's queued packets, js preempts img's residual again.
 PREEMPTION_PAGE = [

@@ -88,6 +88,14 @@ def test_duplicate_ids(tmp_path):
         load_page_spec(f)
 
 
+def test_chunk_unit_id_may_not_collide(tmp_path):
+    # chunked "a" expands to a#1 and a#2; the page already names an "a#1"
+    f = tmp_path / "page.csv"
+    f.write_text("a,2,1,c0,1,t0\na#1,3,0,c2,0,t0\n")
+    with pytest.raises(ValidationError, match="'a#1'"):
+        load_page_spec(f)
+
+
 def test_malformed_line_has_number(tmp_path):
     f = tmp_path / "page.csv"
     f.write_text("a,1,0,c0,0,t0\noops\n")
