@@ -24,7 +24,7 @@ with tempfile.TemporaryDirectory() as tmp_name:
         path.write_text(
             "seq,delay_ms\n" + "".join(f"{i},{x:.4f}\n" for i, x in enumerate(samples))
         )
-        print(f"wrote {path} ({len(samples)} samples, mean {samples.mean():.2f}ms)")
+        print(f"wrote {path.name} ({len(samples)} samples, mean {samples.mean():.2f}ms)")
 
     config = ExperimentConfig(
         paths=(

@@ -10,9 +10,7 @@ transmission, and a benchmark harness.
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import (
     DelaySourceSpec,
-    DeterministicSource,
     GammaSource,
-    TraceSource,
     make_source,
     oracle_stats,
 )

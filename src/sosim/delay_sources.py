@@ -1,10 +1,11 @@
 """Per-packet inter-packet delay generators.
 
-Three kinds: a constant source, a Gamma-distributed source (moment-matched:
-shape = (mu/sigma)^2, scale = sigma^2/mu), and replay of a measured trace
-file.  Trace files are line-oriented `seq,delay_ms` with an optional single
-header row; replay wraps around at end of file so experiments of any length
-can run on finite traces.
+Two streams: `GammaSource` draws (moment-matched: shape = (mu/sigma)^2,
+scale = sigma^2/mu), and `TraceSource` replays.  A trace path replays its
+file and a deterministic path replays one sample, its mean.  Trace files
+are line-oriented `seq,delay_ms` with an optional single header row;
+replay wraps around at the end so experiments of any length can run on
+finite traces.
 
 `take(count)` (an array) and `next_delay()` (one float, the engine's per-packet
 read) advance the same stream and interleave freely.  Gamma samples are drawn
@@ -49,31 +50,7 @@ class DelaySourceSpec:
             raise ConfigError("trace sources need a trace_path")
 
 
-class DelaySource:
-    """Stream of inter-packet delays for one path; one consumer per run."""
-
-    spec: DelaySourceSpec
-
-    def take(self, count: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def next_delay(self) -> float:
-        raise NotImplementedError
-
-
-class DeterministicSource(DelaySource):
-    def __init__(self, spec: DelaySourceSpec):
-        self.spec = spec
-        self._delay = float(spec.mean_ms)
-
-    def take(self, count: int) -> np.ndarray:
-        return np.full(count, self._delay)
-
-    def next_delay(self) -> float:
-        return self._delay
-
-
-class GammaSource(DelaySource):
+class GammaSource:
     """Gamma samples with the requested mean and standard deviation."""
 
     def __init__(self, spec: DelaySourceSpec):
@@ -106,15 +83,12 @@ class GammaSource(DelaySource):
         return float(self.take(1)[0])
 
 
-class TraceSource(DelaySource):
-    """Replays recorded samples in order, wrapping around at the end."""
+class TraceSource:
+    """Replays a path's samples in order, wrapping around at the end."""
 
-    def __init__(self, samples, spec: DelaySourceSpec):
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0:
-            raise ConfigError("trace has no samples")
+    def __init__(self, spec: DelaySourceSpec):
         self.spec = spec
-        self._samples = arr
+        self._samples = _replayed(spec)
         self._idx = 0
 
     def take(self, count: int) -> np.ndarray:
@@ -159,24 +133,25 @@ def _parse_trace(path: Path) -> list[float]:
     return samples
 
 
-def make_source(spec: DelaySourceSpec) -> DelaySource:
+def _replayed(spec: DelaySourceSpec) -> np.ndarray:
+    """The samples a deterministic (its mean, once) or trace path replays."""
     if spec.kind == "deterministic":
-        return DeterministicSource(spec)
-    if spec.kind == "gamma":
-        return GammaSource(spec)
-    return TraceSource(_parse_trace(Path(spec.trace_path)), spec)
+        return np.array([spec.mean_ms], dtype=float)
+    return np.array(_parse_trace(Path(spec.trace_path)), dtype=float)
+
+
+def make_source(spec: DelaySourceSpec) -> GammaSource | TraceSource:
+    return GammaSource(spec) if spec.kind == "gamma" else TraceSource(spec)
 
 
 def oracle_stats(spec: DelaySourceSpec) -> tuple[float, float]:
     """Population (mean, stddev) of a path's delay process.
 
-    These are what the windowed estimator converges to after warm-up.  Trace
-    statistics are taken over the whole file, which is read again on every
-    call.
+    These are what the windowed estimator converges to after warm-up.  A
+    replayed path's statistics are taken over all its samples; a trace file
+    is read again on every call.
     """
-    if spec.kind == "deterministic":
-        return spec.mean_ms, 0.0
     if spec.kind == "gamma":
         return spec.mean_ms, spec.stddev_ms
-    samples = np.asarray(_parse_trace(Path(spec.trace_path)))
+    samples = _replayed(spec)
     return float(samples.mean()), float(samples.std())

@@ -12,17 +12,12 @@ object.
 from __future__ import annotations
 
 from .errors import DomainError
-from .scheduler_core import PathParams, Plan, SolveStats, solve_integer
+from .scheduler_core import PathParams, Plan, solve_integer
 
 DEFAULT_GAMMA = 0.5
 
 
-def solve_fec_split(
-    n: int,
-    paths,
-    gamma: float = DEFAULT_GAMMA,
-    stats: SolveStats | None = None,
-) -> Plan:
+def solve_fec_split(n: int, paths, gamma: float = DEFAULT_GAMMA) -> Plan:
     """Per-path send counts with gamma-discounted redundancy.
 
     The plan's threshold is n, the decode threshold, and its `base_counts`
@@ -31,7 +26,7 @@ def solve_fec_split(
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
     paths = list(paths)
-    base = solve_integer(n, paths, stats=stats)
+    base = solve_integer(n, paths)
     if gamma == 1.0 or all(p.w == 0.0 for p in paths):
         return Plan(base, n, base_counts=base)
 
@@ -39,5 +34,5 @@ def solve_fec_split(
     for i, p in enumerate(paths):
         discounted = list(paths)
         discounted[i] = PathParams(p.mu_ms, gamma * p.w, p.prop_ms, p.in_flight)
-        totals.append(solve_integer(n, discounted, stats=stats)[i])
+        totals.append(solve_integer(n, discounted)[i])
     return Plan(tuple(totals), n, base_counts=base)

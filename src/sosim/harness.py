@@ -102,10 +102,10 @@ def improvement_pct(baseline_ms: float, candidate_ms: float) -> float:
 
 
 def seeded_paths(config: ExperimentConfig) -> tuple[DelaySourceSpec, ...]:
-    """Fill in derived per-path seeds (SeedSequence([seed, path_index]))."""
+    """Fill in derived seeds of gamma paths (SeedSequence([seed, path_index]))."""
     out = []
     for j, spec in enumerate(config.paths):
-        if spec.kind != "trace" and spec.seed is None:
+        if spec.kind == "gamma" and spec.seed is None:
             derived = int(np.random.SeedSequence([config.seed, j]).generate_state(1)[0])
             spec = replace(spec, seed=derived)
         out.append(spec)
@@ -339,8 +339,8 @@ def parse_config(path) -> ExperimentConfig:
         (current if current is not None else global_kv)[key] = parsed
     if not path_blocks:
         raise ConfigError(f"{path}: no [path] sections")
-    specs = tuple(DelaySourceSpec(**block) for block in path_blocks)
     try:
-        return ExperimentConfig(paths=specs, **global_kv)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        specs = tuple(DelaySourceSpec(**block) for block in path_blocks)
+    except TypeError as exc:  # a [path] section without `kind`
+        raise ConfigError(f"{path}: [path] section: {exc}") from exc
+    return ExperimentConfig(paths=specs, **global_kv)

@@ -101,7 +101,7 @@ class PriorityEngine:
                 self.queue.arm(live.spec, arrival_seq=seq)
 
     def _dispatch(self, live: LiveObject, now: float) -> None:
-        residual = live.needed - live.delivered - live.outstanding
+        residual = live.needed - sum(live.sent_per_path)
         if residual <= 0:
             return  # already satisfied by packets in flight
         params, stddevs = self.sim.feed.snapshot(self.sim.in_flight)

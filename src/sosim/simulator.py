@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
-from .delay_sources import DelaySource, oracle_stats
+from .delay_sources import oracle_stats
 from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, require_count
 from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
 from .scheduler_core import PathParams, Plan, split_object, variance_w
@@ -56,6 +56,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not 0.0 <= self.gamma <= 1.0:  # NaN fails both comparisons
+            raise DomainError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
         if not 0.0 <= self.ack_return_ms < math.inf:  # NaN fails both comparisons
@@ -244,7 +246,6 @@ class LiveObject:
         self.coded = coded
         self.delivered = 0
         self.released = 0  # in-order prefix released to the application
-        self.outstanding = 0  # dispatched, not yet delivered
         self.unserved = 0  # dispatched, service not yet started
         self.sent_per_path = [0] * n_paths
         self.start_ms: float | None = None
@@ -272,7 +273,6 @@ class LiveObject:
 
     def on_delivery(self, seq: int) -> None:
         self.delivered += 1
-        self.outstanding -= 1
         if not self.coded:
             self._arrived[seq] = True
             while self.released < len(self._arrived) and self._arrived[self.released]:
@@ -293,7 +293,7 @@ class LiveObject:
 class _Lane:
     """Serial server for one path: a queue of packets served one gap apart."""
 
-    def __init__(self, source: DelaySource):
+    def __init__(self, source):
         self.source = source
         self.prop_ms = source.spec.propagation_ms
         self.queue: deque[tuple[LiveObject, int]] = deque()
@@ -339,7 +339,6 @@ class Simulation:
         order = plan.order if plan.order is not None else dispatch_order(plan.counts, params)
         for seq, j in zip(obj.next_seqs(len(order)), order):
             self.lanes[j].queue.append((obj, seq))
-        obj.outstanding += len(order)
         obj.unserved += len(order)
         # Events order by path before insertion, so kick order moves none.
         for j, count in enumerate(plan.counts):
@@ -358,7 +357,6 @@ class Simulation:
                 obj.pulled_seqs.extend(seq for o, seq in lane.queue if o is obj)
                 lane.queue = kept
                 lane.u -= pulled
-                obj.outstanding -= pulled
                 obj.unserved -= pulled
                 obj.sent_per_path[j] -= pulled
                 pulled_total += pulled

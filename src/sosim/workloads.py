@@ -274,7 +274,7 @@ def random_page(
     dom_conns = max(1, n_connections // 3) if n_connections > 1 else 1
 
     specs: list[ObjectSpec] = []
-    root_size = max(int(rng.integers(2, MAX_RANDOM_SIZE + 1)), 2)
+    root_size = int(rng.integers(2, MAX_RANDOM_SIZE + 1))
     head = max(1, root_size // 3)  # packets that discover render-critical content
     specs.append(
         ObjectSpec(
@@ -288,15 +288,13 @@ def random_page(
     )
     for i in range(1, n_objects):
         size = int(rng.integers(1, MAX_RANDOM_SIZE + 1))
+        parents = [s for s in specs if s.is_dom]
+        parent = parents[int(rng.integers(0, len(parents)))]
         if i in dom_ids:
-            parents = [s for s in specs if s.is_dom]
-            parent = parents[int(rng.integers(0, len(parents)))]
             packet = int(rng.integers(1, min(head, parent.size_packets) + 1))
             conn = f"conn{int(rng.integers(0, dom_conns))}"
             priority = 1
         else:
-            parents = [s for s in specs if s.is_dom]
-            parent = parents[int(rng.integers(0, len(parents)))]
             lo = min(head, parent.size_packets - 1) + 1 if parent.size_packets > head else 1
             packet = int(rng.integers(lo, parent.size_packets + 1))
             conn_pool = max(n_connections - dom_conns, 1)

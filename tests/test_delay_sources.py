@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,10 @@ from sosim.delay_sources import (
     oracle_stats,
 )
 from sosim.errors import ConfigError, ParseError, ValidationError
+from sosim.harness import ExperimentConfig, run_experiment
+from sosim.priority_engine import run_page
+from sosim.simulator import SCHEDULERS, SimConfig, run_transfer
+from sosim.workloads import random_page
 
 
 def trace_source(path):
@@ -158,6 +165,14 @@ def test_trace_malformed_line_reports_number(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_trace_unparseable_value_reports_number(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("seq,delay_ms\n0,2.5\n1,abc\n")
+    with pytest.raises(ParseError) as exc:
+        trace_source(f)
+    assert exc.value.line_no == 3
+
+
 def test_trace_empty_file(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("seq,delay_ms\n")
@@ -193,3 +208,73 @@ def test_oracle_stats_rereads_trace_files(tmp_path):
     assert oracle_stats(spec) == (2.0, 1.0)
     f.write_text("0,5.0\n1,9.0\n")
     assert oracle_stats(spec) == (7.0, 2.0)
+
+
+def _replayed_outcomes(tmp_path):
+    """Reprs of every consumer's outcome over deterministic and trace paths.
+
+    The traces are shorter than the reads, so every consumer wraps them;
+    some have a header, one has a single sample, and some path sets mix in
+    a gamma path.
+    """
+    rng = np.random.default_rng(77)
+    traces = []
+    for j, (count, header) in enumerate(((7, True), (13, False), (1, False), (40, True))):
+        f = tmp_path / f"replay{j}.csv"
+        rows = "".join(f"{i},{float(x)!r}\n" for i, x in enumerate(rng.gamma(2.0, 1.5 + j, count)))
+        f.write_text(("seq,delay_ms\n" if header else "") + rows)
+        traces.append(str(f))
+    page = tmp_path / "page.csv"
+    page.write_text("html,6,1,c1,1,t0\nimg,5,0,c2,0,dep:html:2\ncss,4,1,c1,0,dep:html:3\n")
+
+    def det(mean, prop=0.0):
+        return DelaySourceSpec(kind="deterministic", mean_ms=mean, propagation_ms=prop)
+
+    def trace(j, prop=0.0):
+        return DelaySourceSpec(kind="trace", trace_path=traces[j], propagation_ms=prop)
+
+    gamma = DelaySourceSpec(kind="gamma", mean_ms=4.0, stddev_ms=3.0, propagation_ms=1.0)
+    path_sets = [
+        (det(2.0 / 3.0), det(5.0, 2.5)),
+        (trace(0), trace(1, 7.0)),
+        (det(3.0), trace(2)),
+        (trace(3, 2.5), gamma),
+        (det(1.5), gamma),
+        (trace(0),),
+        (det(4.0, 1.0), trace(1), gamma),
+    ]
+    out = []
+    for k, specs in enumerate(path_sets):
+        seeded = [replace(s, seed=100 * k + j) if s.kind == "gamma" else s
+                  for j, s in enumerate(specs)]
+        out.append(repr([oracle_stats(s) for s in specs]))
+        out += [_interleaved_reads(make_source(s), 500, k).tobytes().hex() for s in seeded]
+        for mode in ("oracle", "estimated"):
+            for scheduler in SCHEDULERS:
+                config = ExperimentConfig(paths=specs, scheduler=scheduler, object_size=15,
+                                          replications=20, seed=k, mode=mode,
+                                          warmup_packets=30)
+                out.append(repr(run_experiment(config)))
+            config = replace(config, scheduler=SCHEDULERS[k % 4], object_size=None,
+                             page_spec=page, replications=3)
+            out.append(repr(run_experiment(config)))
+            cfg = SimConfig(ack_return_ms=1.5, mode=mode, warmup_packets=25)
+            for scheduler in SCHEDULERS:
+                sizes = [int(x) for x in rng.integers(1, 30, size=3)]
+                out.append(repr(run_transfer(sizes, scheduler, [make_source(s) for s in seeded],
+                                             cfg)))
+                for ordering in ("priority", "fifo"):
+                    objects = random_page(rng, int(rng.integers(2, 15)),
+                                          int(rng.integers(1, 4)), 0.3)
+                    out.append(repr(run_page(objects, [make_source(s) for s in seeded], cfg,
+                                             scheduler, ordering)))
+    return out
+
+
+def test_replayed_path_outcomes_are_pinned(tmp_path):
+    # Recorded before deterministic paths became one-sample traces: every
+    # consumer of a replayed path reads the same bits as it did then.
+    outcomes = _replayed_outcomes(tmp_path)
+    assert len(outcomes) == 259
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "42e878b232a4e2a168b8932e7d36aae7e4e535ee50b3d7d4138cb660b56df961"

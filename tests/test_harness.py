@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,13 @@ def test_parse_config_missing_file(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+def test_parse_config_bad_value_names_its_line(tmp_path):
+    f = tmp_path / "exp.cfg"
+    f.write_text(CONFIG_TEXT.replace("replications = 50", "replications = many"))
+    with pytest.raises(ConfigError, match=re.escape(f"{f}:5: bad value for replications")):
+        parse_config(f)
+
+
 def test_parse_config_requires_paths(tmp_path):
     f = tmp_path / "exp.cfg"
     f.write_text("object_size = 5\n")
@@ -369,6 +377,7 @@ def test_cli_missing_trace_exits_2(tmp_path, capsys):
         ("ack_return_ms = nan", "ack_return_ms"),
         ("warmup_packets = -7", "warmup_packets"),
         ("ordering = bogus", "ordering"),
+        ("gamma = 7", "gamma"),
     ],
 )
 def test_cli_out_of_domain_setting_exits_2(tmp_path, capsys, setting, message):
@@ -377,6 +386,19 @@ def test_cli_out_of_domain_setting_exits_2(tmp_path, capsys, setting, message):
     assert main(["run", "--config", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_cli_path_section_without_kind_exits_2(tmp_path, capsys):
+    f = tmp_path / "nokind.cfg"
+    f.write_text("object_size = 5\n\n[path]\nmean_ms = 5\n")
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: [path] section:") and "'kind'" in err
+
+
+def test_cli_page_without_page_spec_exits_2(config_file, capsys):
+    assert main(["page", "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: page command needs page_spec")
 
 
 @pytest.mark.parametrize("axis, values", [("object_size", "1.5"), ("sigma", "1,x")])

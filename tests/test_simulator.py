@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import ConfigError, NoDataError, ValidationError
+from sosim.errors import ConfigError, DomainError, NoDataError, ValidationError
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, d_upper, variance_w
 from sosim.workloads import ObjectSpec
@@ -169,6 +169,17 @@ def test_bad_prior_rejected_at_config(prior):
 def test_bad_ack_return_rejected_at_config(ack):
     with pytest.raises(ConfigError, match="ack_return_ms"):
         SimConfig(ack_return_ms=ack)
+
+
+@pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+def test_gamma_outside_unit_interval_rejected_at_config(gamma):
+    with pytest.raises(DomainError, match="gamma"):
+        SimConfig(gamma=gamma)
+
+
+def test_priors_must_match_the_path_count():
+    with pytest.raises(ConfigError, match="one prior tuple per path"):
+        ParamFeed([det(2.0), det(3.0)], SimConfig(priors=((2.0, 1.0),)))
 
 
 def test_negative_warmup_rejected_at_config():

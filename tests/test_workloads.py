@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,12 @@ def test_time_trigger_must_be_finite_and_nonnegative(tmp_path, at):
     with pytest.raises(ParseError, match="trigger time") as exc:
         load_page_spec(f)
     assert exc.value.line_no == 2
+
+
+def test_one_packet_chunked_object_expands_to_itself_unchunked():
+    a = ObjectSpec("a", 1, priority=1, connection_id="c1", chunked=True)
+    b = ObjectSpec("b", 2, trigger=Trigger.dep("a", 1))
+    assert expand_chunked([a, b]) == [replace(a, chunked=False), b]
 
 
 def test_expansion_preserves_packet_count():
