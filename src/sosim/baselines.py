@@ -14,7 +14,10 @@ SEDPF models each path's delivery time of the packet-plus-backlog as a
 Gaussian (mean scaling linearly with the queue, variance with the queue size
 times sigma^2), folds all paths into the distribution of their maximum via
 Clark's first/second-moment recursion, and sends the packet to the candidate
-path minimizing the expected maximum.
+path minimizing the expected maximum.  A packet changes one path's moments,
+so the next packet refolds only from that path on: at most
+m(m-1)/2 + 2m - 3 Clark steps per packet, and m after a packet sent to the
+last path.
 """
 
 from __future__ import annotations
@@ -78,52 +81,88 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     """Paths of n packets, each sent to the candidate minimizing the expected
     max delivery time over all paths.
 
-    Each candidate's Clark fold runs in path order.  Candidates share the
-    fold of the paths before them, so one packet costs m(m-1)/2 + 2m - 3
-    `clark_max` calls instead of m(m-1).  Ties are broken first by the EDF
-    cost and then by index, so the all-zero stddev case reduces to
-    edf_assign exactly.
+    Each candidate's Clark fold runs in path order, so its state after path j
+    depends only on paths 0..j.  Candidate c > 0 extends the shared fold of
+    the unbumped paths 0..c-1.  The fold states are kept between packets:
+    after a packet goes to path b, candidate c resumes its fold at path
+    max(c, b), and the shared fold is extended again from path b.  The first
+    packet, and each one after a packet sent to path 0 or 1, costs
+    m(m-1)/2 + 2m - 3 `clark_max` calls; after a packet sent to path b >= 1
+    the next one costs b(m-b) + (m-b)(m-b+1)/2 + m-1-b.  Every fold state is
+    the same `clark_max` call on the same inputs as a fold from scratch, so
+    the plan is bit for bit the one that refolds everything per packet.
+    Ties are broken first by the EDF cost and then by index, so the all-zero
+    stddev case reduces to edf_assign exactly.
     """
     m = len(params)
     # A NaN cost compares false both ways, which no greedy order can rank;
     # PathParams already refuses non-finite means and propagation delays.
     if len(stddevs) != m or not all(map(isfinite, stddevs)):
         raise ValidationError(f"need one finite stddev per path, got {list(stddevs)}")
-    mean_ms = [p.mu_ms for p in params]
-    prop_ms = [p.prop_ms for p in params]
-    var_ms = [s ** 2 for s in stddevs]
-    loads = [p.in_flight for p in params]
-    means = [u * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
-    variances = [u * v for u, v in zip(loads, var_ms)]
-    # each path's moments with one more packet; cand_mean is also its EDF cost
-    bumped_means = [(u + 1) * mu + p for u, mu, p in zip(loads, mean_ms, prop_ms)]
-    bumped_vars = [(u + 1) * v for u, v in zip(loads, var_ms)]
-    suffixes = [range(cand + 1, m) for cand in range(m)]
+    mean_ms, prop_ms, var_ms, loads = [], [], [], []
+    # each path's moments now and with one more packet; a bumped mean is also
+    # the path's EDF cost
+    means, variances, bumped_means, bumped_vars = [], [], [], []
+    for p, s in zip(params, stddevs):
+        u, mu, prop, v = p.in_flight, p.mu_ms, p.prop_ms, s ** 2
+        mean_ms.append(mu)
+        prop_ms.append(prop)
+        var_ms.append(v)
+        loads.append(u)
+        means.append(u * mu + prop)
+        variances.append(u * v)
+        bumped_means.append((u + 1) * mu + prop)
+        bumped_vars.append((u + 1) * v)
+    # folds[c][j] is candidate c's (mean, var) after paths 0..j, for j >= c;
+    # shared[j] is the fold of the unbumped paths 0..j, for j < m - 1
+    folds = [[None] * m for _ in range(m)]
+    fold0 = folds[0]
+    fold0[0] = bumped_means[0], bumped_vars[0]
+    shared = [None] * m
+    shared[0] = means[0], variances[0]
+    tails = [range(j + 1, m) for j in range(m)]
+    others = tails[0]
     order = []
+    last = 0  # fold states up to this path are current
     for _ in range(n):
-        # candidate 0 starts its own fold; candidate c > 0 extends the fold of 0..c-1
-        best_cost = mean = bumped_means[0]
-        var = bumped_vars[0]
-        for j in suffixes[0]:
-            mean, var = clark_max(mean, var, means[j], variances[j])
-        best, best_mean = 0, mean
-        pre_mean, pre_var = means[0], variances[0]
-        for cand in range(1, m):
+        # candidates up to `last` resume their own fold after it; the others
+        # restart theirs from the shared fold, which is extended as they go
+        mean, var = fold0[last]
+        rest = tails[last]
+        for j in rest:
+            mean, var = fold0[j] = clark_max(mean, var, means[j], variances[j])
+        best, best_mean, best_cost = 0, mean, bumped_means[0]
+        for cand in others:
+            fold = folds[cand]
+            if cand <= last:
+                mean, var = fold[last]
+                path_after = rest
+            else:
+                pre_mean, pre_var = shared[cand - 1]
+                mean, var = fold[cand] = clark_max(
+                    pre_mean, pre_var, bumped_means[cand], bumped_vars[cand]
+                )
+                if cand + 1 < m:
+                    shared[cand] = clark_max(pre_mean, pre_var, means[cand], variances[cand])
+                path_after = tails[cand]
+            for j in path_after:
+                mean, var = fold[j] = clark_max(mean, var, means[j], variances[j])
             cand_mean = bumped_means[cand]
-            mean, var = clark_max(pre_mean, pre_var, cand_mean, bumped_vars[cand])
-            for j in suffixes[cand]:
-                mean, var = clark_max(mean, var, means[j], variances[j])
             # (mean, cand_mean) < (best_mean, best_cost) as tuples compare, NaN included
             if mean < best_mean or (
                 (mean == best_mean or mean is best_mean) and cand_mean < best_cost
             ):
                 best, best_mean, best_cost = cand, mean, cand_mean
-            if cand + 1 < m:
-                pre_mean, pre_var = clark_max(pre_mean, pre_var, means[cand], variances[cand])
         order.append(best)
         means[best] = bumped_means[best]
         variances[best] = bumped_vars[best]
         loads[best] = u = loads[best] + 1
         bumped_means[best] = (u + 1) * mean_ms[best] + prop_ms[best]
         bumped_vars[best] = (u + 1) * var_ms[best]
+        if best:
+            last = best - 1
+        else:
+            fold0[0] = bumped_means[0], bumped_vars[0]
+            shared[0] = means[0], variances[0]
+            last = 0
     return tuple(order)

@@ -16,7 +16,7 @@ the block size nor the mix of reads changes a sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,12 @@ import numpy as np
 from .errors import ConfigError, ParseError, ValidationError
 
 KINDS = ("deterministic", "gamma", "trace")
+# Fields each kind never reads; a spec must leave them at their defaults.
+_UNREAD = {
+    "deterministic": ("stddev_ms", "trace_path", "seed"),
+    "gamma": ("trace_path",),
+    "trace": ("mean_ms", "stddev_ms", "seed"),
+}
 _REFILL = 256
 
 
@@ -48,6 +54,13 @@ class DelaySourceSpec:
             raise ConfigError("gamma sources need mean_ms > 0 and stddev_ms > 0")
         if self.kind == "trace" and self.trace_path is None:
             raise ConfigError("trace sources need a trace_path")
+        unread = [
+            f.name
+            for f in fields(self)
+            if f.name in _UNREAD[self.kind] and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ConfigError(f"{self.kind} sources do not read {', '.join(unread)}")
 
 
 class GammaSource:

@@ -306,6 +306,9 @@ _PATH_KEYS = {
     "seed": int,
 }
 
+# File names in a config are relative to the config file's directory.
+_FILE_KEYS = ("page_spec", "trace_path")
+
 
 def parse_config(path) -> ExperimentConfig:
     """Parse the experiment config grammar (see README for the full format)."""
@@ -336,11 +339,13 @@ def parse_config(path) -> ExperimentConfig:
             parsed = table[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
+        if key in _FILE_KEYS:
+            parsed = str(path.parent / parsed)
         (current if current is not None else global_kv)[key] = parsed
     if not path_blocks:
         raise ConfigError(f"{path}: no [path] sections")
     try:
         specs = tuple(DelaySourceSpec(**block) for block in path_blocks)
-    except TypeError as exc:  # a [path] section without `kind`
+    except (TypeError, ConfigError) as exc:  # no `kind`, or a field its kind refuses
         raise ConfigError(f"{path}: [path] section: {exc}") from exc
     return ExperimentConfig(paths=specs, **global_kv)

@@ -20,16 +20,19 @@ The solvers choose integer splits by d_upper: a water-level bisection for
 the fractional relaxation (all used paths end up with equal t_upper + prop,
 the Wardrop condition), an O(m log m) ceil/floor rounding of it that returns
 the best corner without enumerating the corners, and a direct O(log n)
-bisection on the packet count for the two-path case.  The two-path bisection
-returns the integer optimum.  With three or more paths the best corner is not
-always the integer optimum, because an optimal split may give a path a count
-that is neither the floor nor the ceil of its relaxed share.
+bisection on the packet count for the two-path case.  Each step of the
+water-level bisection inverts every path's bound in one loop over per-path
+terms computed once per solve.  The two-path bisection returns the integer
+optimum.  With three or more paths the best corner is not always the integer
+optimum, because an optimal split may give a path a count that is neither the
+floor nor the ceil of its relaxed share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 from .errors import DegenerateInputError, DomainError, ValidationError
 
@@ -151,19 +154,6 @@ def _bound_at(x: float, p: PathParams) -> float:
     return k * p.mu_ms + math.sqrt(k) * p.w + p.prop_ms
 
 
-def _invert_bound(level: float, p: PathParams) -> float:
-    """Largest continuous x >= 0 with _bound_at(x) <= level."""
-    budget = level - p.prop_ms
-    if budget <= 0:
-        return 0.0
-    # solve mu*s^2 + w*s = budget for s = sqrt(x + u)
-    if p.mu_ms == 0.0:
-        s = budget / p.w
-    else:
-        s = (-p.w + math.sqrt(p.w * p.w + 4.0 * p.mu_ms * budget)) / (2.0 * p.mu_ms)
-    return max(0.0, s * s - p.in_flight)
-
-
 def solve_relaxed(n: int, paths) -> list[float]:
     """Fractional split minimizing the object delay bound.
 
@@ -179,6 +169,26 @@ def solve_relaxed(n: int, paths) -> list[float]:
     if n == 0:
         return [0.0] * len(paths)
 
+    # A path's allocation at level L solves mu*s^2 + w*s = L - prop for
+    # s = sqrt(x + u); these are the per-path terms of that root.
+    terms = [(p.prop_ms, p.w, p.in_flight, p.w * p.w, 4.0 * p.mu_ms, 2.0 * p.mu_ms) for p in paths]
+
+    def shares(level: float) -> list[float]:
+        """Per path, the largest continuous x >= 0 with _bound_at(x) <= level."""
+        xs = []
+        for prop, w, u, w2, mu4, mu2 in terms:
+            budget = level - prop
+            if budget <= 0:
+                xs.append(0.0)
+                continue
+            if mu2 == 0.0:
+                s = budget / w
+            else:
+                s = (-w + sqrt(w2 + mu4 * budget)) / mu2
+            x = s * s - u
+            xs.append(x if x > 0.0 else 0.0)  # same as max(0.0, x), -0.0 and NaN too
+        return xs
+
     # At level lo nothing fits anywhere; at level hi the cheapest path alone
     # already absorbs all n packets, so the target level lies in between.
     lo = min(_bound_at(0.0, p) for p in paths)
@@ -186,7 +196,7 @@ def solve_relaxed(n: int, paths) -> list[float]:
 
     while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        total = sum(_invert_bound(mid, p) for p in paths)
+        total = sum(shares(mid))
         if abs(total - n) <= MASS_TOLERANCE * n:
             lo = hi = mid
             break
@@ -195,8 +205,7 @@ def solve_relaxed(n: int, paths) -> list[float]:
         else:
             hi = mid
 
-    level = 0.5 * (lo + hi)
-    xs = [_invert_bound(level, p) for p in paths]
+    xs = shares(0.5 * (lo + hi))
     mass = sum(xs)
     if mass > 0.0:
         scale = n / mass

@@ -238,6 +238,28 @@ def test_edf_plan_matches_per_packet_reference_at_benchmark_sizes(s, n):
     assert edf_assign(*s, n) == ref_plan(ref_edf_one, s, n)
 
 
+def resumed_fold_calls(m, order):
+    """`clark_max` calls of a plan under the resume rule.  The first packet,
+    and each one after a packet sent to path 0, folds every candidate in
+    full; after a packet sent to path b >= 1, candidates 0..b resume at b,
+    the shared fold is extended from b, and later candidates restart."""
+    full = max(m * (m - 1) // 2 + 2 * m - 3, 0)
+
+    def after(b):
+        return full if b == 0 else b * (m - b) + (m - b) * (m - b + 1) // 2 + m - 1 - b
+
+    return sum(after(b) for b in (0, *order)[: len(order)])
+
+
+# m -> (plan, clark_max calls) of six packets when the last path is the fastest
+FASTEST_LAST = {
+    1: ((0,) * 6, 0),
+    2: ((1, 1, 1, 0, 1, 1), 12),
+    3: ((2, 2, 2, 1, 0, 2), 27),
+    16: ((15, 15, 15, 14, 13, 15), 276),  # 894 with every fold from scratch
+}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 16])
 def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
     calls = []
@@ -247,8 +269,33 @@ def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
         return clark_max(*args)
 
     monkeypatch.setattr(baselines, "clark_max", counted)
+    # paths 0 and 1 take these packets, and after either every fold reruns in full
     sedpf_assign(*state([0] * m, [1.0 + j for j in range(m)], [2.0] * m), 3)
     assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
+    # path 0 wins every packet, so every fold runs in full
+    calls.clear()
+    assert sedpf_assign(*state([0] * m, [1.0] + [50.0] * (m - 1), [2.0] * m), 3) == (0,) * 3
+    assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
+    # the last path wins: the folds resume at the path the previous packet took
+    calls.clear()
+    order = sedpf_assign(*state([0] * m, [float(m - j) for j in range(m)], [2.0] * m), 6)
+    assert (order, len(calls)) == FASTEST_LAST[m]
+    assert len(calls) == resumed_fold_calls(m, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(queue_states(), st.integers(0, 40))
+def test_sedpf_fold_calls_follow_the_resume_rule(s, n):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return clark_max(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "clark_max", counted)
+        order = sedpf_assign(*s, n)
+    assert len(calls) == resumed_fold_calls(len(s[0]), order)
 
 
 # ---------------------------------------------------------------------------

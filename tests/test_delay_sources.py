@@ -120,6 +120,33 @@ def test_non_finite_spec_rejected(field, value):
         DelaySourceSpec(kind="deterministic", **{field: value})
 
 
+# A spec of each kind that reads all it is given.
+READ_IN_FULL = {
+    "deterministic": {"mean_ms": 2.0, "propagation_ms": 1.0},
+    "gamma": {"mean_ms": 10.0, "stddev_ms": 1.0, "propagation_ms": 1.0, "seed": 5},
+    "trace": {"trace_path": "t.csv", "propagation_ms": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("deterministic", "stddev_ms", 50.0),
+        ("deterministic", "seed", 5),
+        ("deterministic", "seed", 0),
+        ("deterministic", "trace_path", "t.csv"),
+        ("trace", "mean_ms", 2.0),
+        ("trace", "stddev_ms", 9.0),
+        ("trace", "seed", 5),
+        ("gamma", "trace_path", "t.csv"),
+    ],
+)
+def test_spec_refuses_a_field_its_kind_never_reads(kind, field, value):
+    DelaySourceSpec(kind=kind, **READ_IN_FULL[kind])
+    with pytest.raises(ConfigError, match=f"{kind} sources do not read {field}"):
+        DelaySourceSpec(kind=kind, **{**READ_IN_FULL[kind], field: value})
+
+
 def test_trace_wraparound(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0,2.5\n1,3.0\n")

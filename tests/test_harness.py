@@ -396,6 +396,31 @@ def test_cli_path_section_without_kind_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {f}: [path] section:") and "'kind'" in err
 
 
+def test_cli_path_field_its_kind_never_reads_exits_2(tmp_path, capsys):
+    f = tmp_path / "spread.cfg"
+    f.write_text("object_size = 5\n\n[path]\nkind = deterministic\nmean_ms = 2\nstddev_ms = 50\n")
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: [path] section:") and "do not read stddev_ms" in err
+
+
+def test_cli_config_file_names_are_relative_to_the_config(tmp_path, monkeypatch, capsys):
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "t.csv").write_text("0,2.0\n1,3.5\n2,2.5\n")
+    (probe / "page.csv").write_text("html,2,1,c1,1,t0\nimg,3,0,c2,0,dep:html:1\n")
+    path = "\n[path]\nkind = trace\ntrace_path = t.csv\n"
+    (probe / "run.cfg").write_text(CONFIG_TEXT + path)
+    (probe / "page.cfg").write_text(CONFIG_TEXT.replace("object_size = 20", "page_spec = page.csv") + path)
+    for command in ("run", "page"):
+        outs = []
+        for cwd, config in ((probe, f"{command}.cfg"), (tmp_path, f"probe/{command}.cfg")):
+            monkeypatch.chdir(cwd)
+            assert main([command, "--config", config]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("label,")
+
+
 def test_cli_page_without_page_spec_exits_2(config_file, capsys):
     assert main(["page", "--config", str(config_file)]) == 2
     assert capsys.readouterr().err.startswith("error: page command needs page_spec")

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosim.errors import DegenerateInputError, DomainError, ValidationError
 from sosim.scheduler_core import (
+    LEVEL_TOLERANCE,
+    MASS_TOLERANCE,
     PathParams,
     SolveStats,
     compute_w,
@@ -195,6 +198,70 @@ def test_relaxed_wardrop_equalization_random():
         ]
         level = max(bounds)
         assert max(bounds) - min(bounds) <= 1e-6 * level
+
+
+def ref_solve_relaxed(n, paths):
+    """The water-level bisection with one inverse-bound call per path."""
+
+    def bound_at(x, p):
+        k = x + p.in_flight
+        return k * p.mu_ms + math.sqrt(k) * p.w + p.prop_ms
+
+    def invert_bound(level, p):
+        budget = level - p.prop_ms
+        if budget <= 0:
+            return 0.0
+        if p.mu_ms == 0.0:
+            s = budget / p.w
+        else:
+            s = (-p.w + math.sqrt(p.w * p.w + 4.0 * p.mu_ms * budget)) / (2.0 * p.mu_ms)
+        return max(0.0, s * s - p.in_flight)
+
+    if n == 0:
+        return [0.0] * len(paths)
+    lo = min(bound_at(0.0, p) for p in paths)
+    hi = min(bound_at(float(n), p) for p in paths)
+    while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        total = sum(invert_bound(mid, p) for p in paths)
+        if abs(total - n) <= MASS_TOLERANCE * n:
+            lo = hi = mid
+            break
+        if total < n:
+            lo = mid
+        else:
+            hi = mid
+    level = 0.5 * (lo + hi)
+    xs = [invert_bound(level, p) for p in paths]
+    mass = sum(xs)
+    if mass > 0.0:
+        xs = [x * (n / mass) for x in xs]
+    return xs
+
+
+@st.composite
+def relaxed_inputs(draw):
+    """Up to 16 paths: some with mu = 0 (w > 0), some with integer-valued
+    parameters, backlogs, and propagation delays far above the level."""
+    m = draw(st.integers(1, 16))
+    paths = []
+    for _ in range(m):
+        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.integers(1, 5).map(float)))
+        w = draw(st.floats(1e-3, 60.0) if mu == 0.0 else st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+        prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e3, 1e6)))
+        paths.append(PathParams(mu, w, prop, draw(st.integers(0, 60))))
+    return draw(st.one_of(st.integers(0, 40), st.integers(41, 1000))), paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(relaxed_inputs())
+@example((7, [PathParams(0.0, 2.0), PathParams(0.0, 3.0, 1.0, 4)]))
+@example((5, [PathParams(1.0, 0.0), PathParams(2.0, 1.0, 1e5, 3), PathParams(0.0, 1.0, 1e5)]))
+@example((1000, [PathParams(2.0, 3.0, 0.0, 60)] * 16))
+def test_relaxed_matches_per_path_inverse_bit_for_bit(case):
+    n, paths = case
+    bits = [struct.pack("<d", x) for x in solve_relaxed(n, paths)]
+    assert bits == [struct.pack("<d", x) for x in ref_solve_relaxed(n, paths)]
 
 
 # -- integer solver ----------------------------------------------------------
