@@ -1,14 +1,14 @@
 """Greedy baseline schedulers: EDF and SEDPF.
 
 Both assign packets one at a time, each to the best path given the packets
-already assigned; a call plans a whole object and returns the path of every
-packet in order.  Both read the parameter feed's snapshot as it comes: the
-per-path `PathParams` (mean, propagation delay, in-flight backlog) and the
-per-path delay stddevs.
+already assigned; a call plans a whole object.  Both read the parameter
+feed's snapshot as it comes: the per-path `PathParams` (mean, propagation
+delay, in-flight backlog) and the per-path delay stddevs.
 
 EDF sends each packet to the path with the earliest expected delivery,
 (in_flight + 1) * mean + propagation; it is the optimal greedy rule when
-delays are fixed and known.
+delays are fixed and known.  It returns per-path counts, which the engine
+sends in `dispatch_order`; SEDPF returns the path of every packet.
 
 SEDPF models each path's delivery time of the packet-plus-backlog as a
 Gaussian (mean scaling linearly with the queue, variance with the queue size
@@ -22,39 +22,43 @@ last path.
 
 from __future__ import annotations
 
-from math import erf, exp, isfinite, sqrt, tau
-
-import numpy as np
+from math import erf, exp, inf, isfinite, sqrt, tau
 
 from .errors import ValidationError
+from .scheduler_core import take_cheapest
 
 _SQRT2 = sqrt(2.0)
 _SQRT_TAU = sqrt(tau)
 
 
 def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
-    """Paths of n packets, each sent where it is expected earliest; ties go low.
+    """Per-path counts of n packets, each sent where it is expected earliest.
 
-    Path j's k-th further packet costs (in_flight_j + k) * mu_j + prop_j,
-    nondecreasing in k, so the greedy sequence is the n cheapest of these
-    costs in (cost, j, k) order.  Every path's n-th cost bounds the n-th
-    cheapest overall, so only costs up to the lowest of them are sorted:
-    one stable argsort over at most m*n candidates, which is also the bound
-    on temporary memory (a few float64 and index arrays of m*n entries).
-    Each cost is the same float operations as the Python expression, since
-    in_flight_j + k converts to float64 exactly below 2**53.  EDF does not
-    read `stddevs`; it takes them so that both assigners share one signature.
+    The picks are :func:`take_cheapest` with w = 0, started from the level
+    where the shares (level - start_j) / mu_j sum to n, solved over the sorted
+    breakpoints start_j = in_flight_j * mu_j + prop_j.  A path with mu = 0
+    costs prop_j per packet, so the first one caps the level and takes the
+    rest.  EDF reads neither `stddevs` nor w.
     """
-    if n == 0:
-        return ()
-    in_flight = np.array([p.in_flight for p in params], dtype=float)
-    mean_ms = np.array([p.mu_ms for p in params])
-    prop_ms = np.array([p.prop_ms for p in params])
-    cost = np.add.outer(in_flight, np.arange(1.0, n + 1)) * mean_ms[:, None] + prop_ms[:, None]
-    flat = cost.ravel()  # path-major, so a stable sort breaks ties by (j, k)
-    (cands,) = np.nonzero(flat <= cost[:, -1].min())
-    chosen = cands[np.argsort(flat[cands], kind="stable")[:n]]
-    return tuple((chosen // n).tolist())
+    starts = [p.in_flight * p.mu_ms + p.prop_ms for p in params]
+    level, flat = inf, None
+    rate = offset = 0.0
+    for start, mu, j in sorted(zip(starts, (p.mu_ms for p in params), range(len(params)))):
+        if start >= level:
+            break
+        if mu == 0.0:
+            level, flat = start, j
+            break
+        rate += 1.0 / mu
+        offset += start / mu
+        level = (n + offset) / rate
+    counts = [  # a NaN level starts every path at 0
+        int(min((level - s) / p.mu_ms, n)) if p.mu_ms > 0.0 and level > s else 0
+        for s, p in zip(starts, params)
+    ]
+    if flat is not None:
+        counts[flat] = max(0, n - sum(counts))
+    return take_cheapest(n, [(p.in_flight, p.mu_ms, 0.0, p.prop_ms) for p in params], counts)
 
 
 def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
@@ -92,7 +96,7 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     the same `clark_max` call on the same inputs as a fold from scratch, so
     the plan is bit for bit the one that refolds everything per packet.
     Ties are broken first by the EDF cost and then by index, so the all-zero
-    stddev case reduces to edf_assign exactly.
+    stddev case reduces to EDF's order exactly.
     """
     m = len(params)
     # A NaN cost compares false both ways, which no greedy order can rank;

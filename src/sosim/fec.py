@@ -2,11 +2,11 @@
 
 For each path i the split is re-solved with that path's variability weight
 discounted by gamma (modeling a lucky low-delay realization there); path i's
-total send count is taken from its own re-solve.  gamma < 1 only ever grows a
-path's allocation, so every per-path redundancy delta_i is nonnegative, and
-gamma = 1 reproduces the plain split exactly.  Coding itself is abstracted to
-counting semantics: receipt of any n of the n + delta packets completes the
-object.
+total send count is taken from its own re-solve.  The split takes the n
+smallest bound increments and the discount lowers only path i's, so path i's
+count cannot fall: every delta_i is nonnegative, and gamma = 1 reproduces the
+plain split.  Coding itself is abstracted to counting semantics: receipt of
+any n of the n + delta packets completes the object.
 """
 
 from __future__ import annotations

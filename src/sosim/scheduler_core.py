@@ -16,16 +16,12 @@ from measurements (oracle statistics or an estimation window) use
 then holds when the delays are sub-Gaussian with that proxy.  :func:`compute_w`
 is Hoeffding's form for delays that truly lie in [a, b].
 
-The solvers choose integer splits by d_upper: a water-level bisection for
-the fractional relaxation (all used paths end up with equal t_upper + prop,
-the Wardrop condition), an O(m log m) ceil/floor rounding of it that returns
-the best corner without enumerating the corners, and a direct O(log n)
-bisection on the packet count for the two-path case.  Each step of the
-water-level bisection inverts every path's bound in one loop over per-path
-terms computed once per solve.  The two-path bisection returns the integer
-optimum.  With three or more paths the best corner is not always the integer
-optimum, because an optimal split may give a path a count that is neither the
-floor nor the ceil of its relaxed share.
+The solvers choose integer splits by d_upper.  Path j's bound with x new
+packets, b_j(x) = t_upper_j(x) + prop_j, does not decrease in x, so the
+integer optimum takes the n smallest items b_j(x), x >= 1 (any split's bound
+is at least its largest item and every b_j(0)).  Two paths find them by a
+bisection on the first count; more paths start from the floors of the
+fractional relaxation's water level (the Wardrop split) at a coarse width.
 """
 
 from __future__ import annotations
@@ -38,6 +34,9 @@ from .errors import DegenerateInputError, DomainError, ValidationError
 
 #: Relative width at which the water-level bisection stops.
 LEVEL_TOLERANCE = 1e-12
+#: Relative width of the level whose floors start the integer selection; the
+#: selection is exact from any start, so this sets only the work it does.
+SELECTION_TOLERANCE = 1e-3
 #: Relative mismatch between allocated mass and n accepted by the relaxed solver.
 MASS_TOLERANCE = 1e-9
 
@@ -77,7 +76,7 @@ class Plan:
     counts: tuple[int, ...]
     threshold: int
     base_counts: tuple[int, ...] | None = None  # redundancy-free split (FEC only)
-    order: tuple[int, ...] | None = None  # per-packet path sequence (baselines)
+    order: tuple[int, ...] | None = None  # per-packet path sequence (SEDPF)
 
     @property
     def redundancy(self) -> int:
@@ -136,7 +135,7 @@ def d_upper(counts, paths) -> float:
     return max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
 
 
-def _check_paths(paths) -> list[PathParams]:
+def _check_paths(n: int, paths) -> list[PathParams]:
     paths = list(paths)
     if not paths:
         raise ValidationError("need at least one path")
@@ -145,36 +144,20 @@ def _check_paths(paths) -> list[PathParams]:
         raise DegenerateInputError(
             f"paths {degenerate} have zero mean delay and zero variability"
         )
+    if n < 0:
+        raise ValidationError("object size must be nonnegative")
     return paths
 
 
-def _bound_at(x: float, p: PathParams) -> float:
-    # continuous version of t_upper + prop at fractional allocation x
-    k = x + p.in_flight
-    return k * p.mu_ms + math.sqrt(k) * p.w + p.prop_ms
-
-
-def solve_relaxed(n: int, paths) -> list[float]:
-    """Fractional split minimizing the object delay bound.
-
-    Bisects on the equalized delay level: at level L every path receives the
-    largest allocation whose bound stays below L (zero if its propagation plus
-    backlog alone exceeds L), and the level is tuned until allocations sum to
-    n.  All paths with positive allocation share the same bound, so no packet
-    reassignment can lower the max.
-    """
-    paths = _check_paths(paths)
-    if n < 0:
-        raise ValidationError("object size must be nonnegative")
-    if n == 0:
-        return [0.0] * len(paths)
-
+def _level_shares(n: int, paths: list[PathParams], tolerance: float) -> list[float]:
+    """Per-path continuous shares at the water level, bisected until the
+    shares sum to n or the level's relative width falls to `tolerance`."""
     # A path's allocation at level L solves mu*s^2 + w*s = L - prop for
     # s = sqrt(x + u); these are the per-path terms of that root.
     terms = [(p.prop_ms, p.w, p.in_flight, p.w * p.w, 4.0 * p.mu_ms, 2.0 * p.mu_ms) for p in paths]
 
     def shares(level: float) -> list[float]:
-        """Per path, the largest continuous x >= 0 with _bound_at(x) <= level."""
+        """Per path, the largest continuous x >= 0 with t_upper(x) + prop <= level."""
         xs = []
         for prop, w, u, w2, mu4, mu2 in terms:
             budget = level - prop
@@ -191,10 +174,10 @@ def solve_relaxed(n: int, paths) -> list[float]:
 
     # At level lo nothing fits anywhere; at level hi the cheapest path alone
     # already absorbs all n packets, so the target level lies in between.
-    lo = min(_bound_at(0.0, p) for p in paths)
-    hi = min(_bound_at(float(n), p) for p in paths)
+    lo = min(t_upper(0, p.in_flight, p) + p.prop_ms for p in paths)
+    hi = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
 
-    while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
+    while hi - lo > tolerance * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         total = sum(shares(mid))
         if abs(total - n) <= MASS_TOLERANCE * n:
@@ -204,22 +187,73 @@ def solve_relaxed(n: int, paths) -> list[float]:
             lo = mid
         else:
             hi = mid
+    return shares(0.5 * (lo + hi))
 
-    xs = shares(0.5 * (lo + hi))
+
+def solve_relaxed(n: int, paths) -> list[float]:
+    """Fractional split minimizing the object delay bound.
+
+    Bisects on the equalized delay level: at level L every path receives the
+    largest allocation whose bound stays below L (zero if its propagation plus
+    backlog alone exceeds L), and the level is tuned until allocations sum to
+    n.  All paths with positive allocation share the same bound, so no packet
+    reassignment can lower the max.
+    """
+    paths = _check_paths(n, paths)
+    if n == 0:
+        return [0.0] * len(paths)
+    xs = _level_shares(n, paths, LEVEL_TOLERANCE)
     mass = sum(xs)
-    if mass > 0.0:
-        scale = n / mass
-        xs = [x * scale for x in xs]
-    return xs
+    return [x * (n / mass) for x in xs] if mass > 0.0 else xs
+
+
+def take_cheapest(
+    n: int, terms, counts: list[int], stats: SolveStats | None = None
+) -> tuple[int, ...]:
+    """Per-path counts of the n smallest items b_j(x), x >= 1, in (b, j, x) order.
+
+    `terms[j] = (u, mu, w, prop)` gives b_j(x) = k*mu + sqrt(k)*w + prop with
+    k = x + u, as t_upper computes it.  From any start `counts`, one item at a
+    time moves in or out until the n chosen are below every unchosen one.
+    """
+    def item(j: int, x: int) -> float:
+        u, mu, w, prop = terms[j]
+        k = x + u
+        return k * mu + sqrt(k) * w + prop
+
+    m = len(counts)
+    last = [item(j, c) if c else -math.inf for j, c in enumerate(counts)]
+    nxt = [item(j, c + 1) for j, c in enumerate(counts)]
+    evals = sum(map(bool, counts)) + m
+    total = sum(counts)
+    while True:
+        lo = min(range(m), key=nxt.__getitem__)  # ties to the lowest path
+        if total < n:
+            counts[lo] += 1
+            last[lo] = nxt[lo]
+            nxt[lo] = item(lo, counts[lo] + 1)
+            total += 1
+            evals += 1
+            continue
+        j = max(reversed(range(m)), key=last.__getitem__)  # ties to the highest path
+        if total == n and (last[j], j, counts[j]) < (nxt[lo], lo, counts[lo] + 1):
+            break
+        counts[j] -= 1
+        nxt[j] = last[j]
+        last[j] = item(j, counts[j]) if counts[j] else -math.inf
+        total -= 1
+        evals += counts[j] > 0
+    if stats is not None:
+        stats.d_upper_evals += evals
+    return tuple(counts)
 
 
 def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
-    """Exact integer optimum for two paths by bisection on the first count.
+    """:func:`take_cheapest` for two paths, by bisection on the first count k.
 
     The first path's bound rises with k and the second's falls, so their max
-    is unimodal in k; binary search finds the rightmost minimizer (ties give
-    the first path more packets), using at most two bound evaluations per
-    halving step.
+    is unimodal in k; the rightmost minimizer takes the same items, using at
+    most two bound evaluations per halving step.
     """
     (u0, mu0, w0, prop0), (u1, mu1, w1, prop1) = [
         (p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths
@@ -253,15 +287,10 @@ def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
 def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
     """Per-path packet counts (summing to n) chosen by the object delay bound.
 
-    Two paths use the O(log n) bisection, which minimizes the bound over all
-    integer splits.  More paths solve the relaxation and return its best
-    ceil/floor corner in O(m log m); that corner can have a higher bound than
-    the integer optimum.  Ties prefer giving more packets to the lowest-index
-    path.
+    The split is the n smallest bound increments in (b, j, x) order, an
+    integer optimum of the bound; ties give more packets to lower-index paths.
     """
-    paths = _check_paths(paths)
-    if n < 0:
-        raise ValidationError("object size must be nonnegative")
+    paths = _check_paths(n, paths)
     m = len(paths)
     if n == 0:
         return (0,) * m
@@ -270,34 +299,11 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, 
     if m == 2:
         return _solve_two(n, paths, stats)
 
-    # Exact rounding of the relaxation.  lo[j] is path j's bound at its floor;
-    # hi[j] is its bound at floor + 1, for paths with a fractional part.  Any
-    # choice of `rem` such paths to bump has bound at least
-    # level = max(max(lo), rem-th smallest hi), because hi >= lo.  Bumping the
-    # lowest-index paths with hi <= level reaches that level, and among the
-    # corners that do, it is the lexicographically largest: the tie-break.
-    xs = solve_relaxed(n, paths)
-    floors = [math.floor(x) for x in xs]
-    rem = n - sum(floors)
-    lo = [t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(floors, paths)]
-    hi = {
-        j: t_upper(floors[j] + 1, p.in_flight, p) + p.prop_ms
-        for j, p in enumerate(paths)
-        if math.ceil(xs[j]) > floors[j]
-    }
-    if stats is not None:
-        stats.d_upper_evals += 2
-    level = max(lo + sorted(hi.values())[:rem])
-    counts = list(floors)
-    for j in [j for j, h in hi.items() if h <= level][:rem]:
-        counts[j] += 1
-    return tuple(counts)
+    counts = [int(min(x, n)) for x in _level_shares(n, paths, SELECTION_TOLERANCE)]
+    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
+    return take_cheapest(n, terms, counts, stats)
 
 
-def split_object(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
-    """Split one object across paths, accounting for in-flight backlogs.
-
-    Identical to :func:`solve_integer` (the bound already adds each path's
-    in-flight count); the returned counts are new packets only.
-    """
-    return solve_integer(n, paths, stats=stats)
+#: The bound already adds each path's in-flight count, so splitting an object
+#: behind a backlog is :func:`solve_integer`; the counts are new packets only.
+split_object = solve_integer

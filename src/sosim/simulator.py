@@ -115,21 +115,21 @@ class SosFecPolicy:
         return fec_mod.solve_fec_split(n, params, self.gamma)
 
 
-class _GreedyPolicy:
+class EdfPolicy:
     coded = False
-    assign = None
-
-    def plan(self, n: int, params, stddevs) -> Plan:
-        order = type(self).assign(params, stddevs, n)
-        return Plan(tuple(order.count(j) for j in range(len(params))), n, order=order)
-
-
-class EdfPolicy(_GreedyPolicy):
     assign = staticmethod(edf_assign)
 
+    def plan(self, n: int, params, stddevs) -> Plan:
+        return Plan(self.assign(params, stddevs, n), n)
 
-class SedpfPolicy(_GreedyPolicy):
+
+class SedpfPolicy:
+    coded = False
     assign = staticmethod(sedpf_assign)
+
+    def plan(self, n: int, params, stddevs) -> Plan:
+        order = self.assign(params, stddevs, n)
+        return Plan(tuple(order.count(j) for j in range(len(params))), n, order=order)
 
 
 def make_policy(name: str, config: SimConfig | None = None):

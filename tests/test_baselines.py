@@ -16,6 +16,7 @@ import sosim.baselines as baselines
 from sosim.baselines import clark_max, edf_assign, sedpf_assign
 from sosim.errors import ValidationError
 from sosim.scheduler_core import PathParams
+from sosim.simulator import dispatch_order
 
 
 def state(in_flight, means, stds=None, props=None):
@@ -88,6 +89,18 @@ def ref_plan(assign_one, s, n):
     return tuple(order)
 
 
+def edf_plan(s, n):
+    """EDF's counts, and the order the engine dispatches them in."""
+    counts = edf_assign(*s, n)
+    return counts, dispatch_order(counts, s[0])
+
+
+def ref_edf_plan(s, n):
+    """The per-packet EDF order, and its per-path counts."""
+    order = ref_plan(ref_edf_one, s, n)
+    return tuple(order.count(j) for j in range(len(s[0]))), order
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -97,26 +110,28 @@ def _bits(x: float) -> bytes:
 
 
 def test_edf_prefers_smaller_mean():
-    assert edf_assign(*state([0, 0], [10.0, 12.0]), 1)[0] == 0
+    assert edf_assign(*state([0, 0], [10.0, 12.0]), 1) == (1, 0)
 
 
 def test_edf_accounts_for_backlog():
-    assert edf_assign(*state([1, 0], [10.0, 12.0]), 1)[0] == 1  # 20 vs 12
+    assert edf_assign(*state([1, 0], [10.0, 12.0]), 1) == (0, 1)  # 20 vs 12
 
 
 def test_edf_tie_breaks_low_index():
-    assert edf_assign(*state([0, 0], [7.0, 7.0]), 1)[0] == 0
+    assert edf_assign(*state([0, 0], [7.0, 7.0]), 1) == (1, 0)
 
 
 def test_edf_includes_propagation():
-    assert edf_assign(*state([0, 0], [10.0, 10.0], props=[5.0, 0.0]), 1)[0] == 1
+    assert edf_assign(*state([0, 0], [10.0, 10.0], props=[5.0, 0.0]), 1) == (0, 1)
 
 
 def test_edf_balances_load():
     means = [2.0, 5.0, 9.0]
-    order = edf_assign(*state([0, 0, 0], means), 500)
-    assert len(order) == 500
-    loads = [order.count(j) * m for j, m in enumerate(means)]
+    s = state([0, 0, 0], means)
+    counts, order = edf_plan(s, 500)
+    assert sum(counts) == len(order) == 500
+    assert (counts, order) == ref_edf_plan(s, 500)
+    loads = [c * m for c, m in zip(counts, means)]
     assert max(loads) - min(loads) <= max(means)
 
 
@@ -145,15 +160,15 @@ def test_sedpf_reduces_to_edf_without_variance():
             [0.0] * m,
             [float(x) for x in rng.uniform(0, 5, size=m)],
         )
-        assert sedpf_assign(*st_a, n) == edf_assign(*st_a, n)
+        assert sedpf_assign(*st_a, n) == edf_plan(st_a, n)[1]
 
 
 def test_sedpf_edf_agree_on_backlog_masked_candidates():
     # a huge third-path backlog dominates both candidates' maxima; the tie
     # must still resolve the way EDF does
     st_a = state([0, 0, 1], [6.0, 5.0, 100.0], [0.0, 0.0, 0.0])
-    assert edf_assign(*st_a, 1)[0] == 1
-    assert sedpf_assign(*st_a, 1)[0] == 1
+    assert edf_plan(st_a, 1) == ((0, 1, 0), (1,)) == ref_edf_plan(st_a, 1)
+    assert sedpf_assign(*st_a, 1) == (1,)
 
 
 @pytest.mark.parametrize("field", ["means", "stds", "props"])
@@ -208,7 +223,7 @@ def queue_states(draw):
 @example(state([0, 0, 0], [5.0, 5.0, 5.0], [2.0, 2.0, 2.0]), 30)
 def test_plans_match_per_packet_reference(s, n):
     stds = list(s[1])
-    assert edf_assign(*s, n) == ref_plan(ref_edf_one, s, n)
+    assert edf_plan(s, n) == ref_edf_plan(s, n)
     assert sedpf_assign(*s, n) == ref_plan(ref_sedpf_one, s, n)
     assert s[1] == stds  # the caller's view is left as it was
 
@@ -235,7 +250,17 @@ def edf_states(draw):
 @example(state([60, 0], [0.0, 0.0], None, [1.0, 1.0]), 1000)
 @example(state([5, 0, 2], [2.0, 3.0, 4.0], None, [0.0, 5.0, 2.0]), 0)
 def test_edf_plan_matches_per_packet_reference_at_benchmark_sizes(s, n):
-    assert edf_assign(*s, n) == ref_plan(ref_edf_one, s, n)
+    assert edf_plan(s, n) == ref_edf_plan(s, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edf_states(), st.integers(0, 1000), st.lists(st.floats(0.0, 100.0), min_size=16, max_size=16))
+@example(state([0, 0], [1.0, 1.0]), 1, [0.0, 50.0])
+def test_edf_counts_ignore_w(s, n, ws):
+    # one random w per path (zip drops the spare draws); EDF must not read it
+    params, stds = s
+    weighted = [replace(p, w=w) for p, w in zip(params, ws)]
+    assert edf_assign(weighted, stds, n) == edf_assign(params, stds, n)
 
 
 def resumed_fold_calls(m, order):

@@ -301,7 +301,9 @@ def _replayed_outcomes(tmp_path):
 def test_replayed_path_outcomes_are_pinned(tmp_path):
     # Recorded before deterministic paths became one-sample traces: every
     # consumer of a replayed path reads the same bits as it did then.
+    # Re-recorded when SOS at m >= 3 became the exact n cheapest bound
+    # increments: outcomes 231-235, 249 and 252 (the three-path set) moved.
     outcomes = _replayed_outcomes(tmp_path)
     assert len(outcomes) == 259
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "42e878b232a4e2a168b8932e7d36aae7e4e535ee50b3d7d4138cb660b56df961"
+    assert digest == "c29b118099c841af2e4a9cf1ed5355ef16ac18d4282f53648dbfc13523faad0d"

@@ -23,6 +23,7 @@ from sosim.scheduler_core import (
     solve_relaxed,
     split_object,
     t_upper,
+    take_cheapest,
     variance_w,
 )
 
@@ -313,66 +314,83 @@ def test_integer_eval_budget():
     assert stats.d_upper_evals <= 2 * math.ceil(math.log2(n + 1)) + 4
 
 
-def corner_search(n, paths):
-    """Brute-force m >= 3 reference: every ceil/floor corner of the relaxation,
-    lowest bound first, ties to the lexicographically largest counts."""
-    xs = solve_relaxed(n, paths)
-    floors = [math.floor(x) for x in xs]
-    rem = n - sum(floors)
-    bumpable = [j for j, x in enumerate(xs) if math.ceil(x) > floors[j]]
-    assert 0 <= rem <= len(bumpable)
-    best_counts, best_d = None, math.inf
-    for bump in itertools.combinations(bumpable, rem):
-        counts = tuple(f + (j in bump) for j, f in enumerate(floors))
-        d = max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
-        if d < best_d or (d == best_d and counts > best_counts):
-            best_d, best_counts = d, counts
-    return best_counts
+def cheapest_items(n, paths):
+    """Slow reference selection: sort every item b_j(x), x = 1..n, by
+    (b, j, x) and count each path's share of the n smallest."""
+    items = sorted(
+        (t_upper(x, p.in_flight, p) + p.prop_ms, j, x)
+        for j, p in enumerate(paths)
+        for x in range(1, n + 1)
+    )
+    return tuple(sum(1 for _, i, _ in items[:n] if i == j) for j in range(len(paths)))
 
 
-def test_integer_rounding_matches_corner_enumeration():
-    rng = np.random.default_rng(3)
-    for m in range(3, 9):
-        for trial in range(150):
-            if trial % 2:
-                # integer-valued parameters drawn from a small pool, so paths
-                # repeat and many corners tie exactly
-                pool = [
-                    PathParams(
-                        float(rng.integers(1, 4)), float(rng.integers(0, 3)),
-                        prop_ms=float(rng.choice([0, 5])), in_flight=int(rng.choice([0, 0, 2])),
-                    )
-                    for _ in range(int(rng.integers(1, 3)))
-                ]
-                paths = [pool[int(rng.integers(len(pool)))] for _ in range(m)]
-            else:
-                paths = [
-                    PathParams(
-                        float(rng.uniform(0.5, 10)), float(rng.uniform(0, 10)),
-                        prop_ms=float(rng.uniform(0, 20)), in_flight=int(rng.integers(0, 4)),
-                    )
-                    for _ in range(m)
-                ]
-            if trial % 3 == 0:
-                # zero-mean paths (w > 0): their bound grows only as sqrt(x + u)
-                paths = [
-                    PathParams(0.0, p.w + 1.0, p.prop_ms, p.in_flight) if rng.random() < 0.3 else p
-                    for p in paths
-                ]
-            n = int(rng.integers(1, 80))
-            assert solve_integer(n, paths) == corner_search(n, paths)
+@st.composite
+def small_integer_inputs(draw):
+    """m = 3 or 4 paths, n <= 12 and start counts for take_cheapest; half draw
+    small integer parameters, which repeat paths and force equal items, and
+    some paths have mu = 0 and w > 0."""
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(1, 12))
+    paths = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            mu, w, prop = (float(draw(st.integers(0, 3))) for _ in range(3))
+            w = w if mu else w + 1.0
+        else:
+            mu = draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+            w = draw(st.floats(0.5 if mu == 0.0 else 0.0, 20.0))
+            prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+        paths.append(PathParams(mu, w, prop, draw(st.integers(0, 5))))
+    return n, paths, draw(st.lists(st.integers(0, n + 2), min_size=m, max_size=m))
 
 
-def test_integer_rounding_costs_two_evals_m16():
-    rng = np.random.default_rng(16)
-    paths = [
-        PathParams(float(rng.uniform(2, 20)), float(rng.uniform(0, 40)))
-        for _ in range(16)
-    ]
+@settings(max_examples=300, deadline=None)
+@given(small_integer_inputs())
+@example((9, [PathParams(4.7261, 5.7307), PathParams(3.9581, 18.6710),
+              PathParams(8.8986, 3.7075), PathParams(0.72665, 6.8403)], [2, 1, 1, 5]))
+def test_integer_matches_brute_force_selection(case):
+    n, paths, start = case
     stats = SolveStats(d_upper_evals=5)
-    s = solve_integer(1000, paths, stats=stats)
-    assert stats.d_upper_evals == 5 + 2
-    assert s == corner_search(1000, paths)
+    counts = solve_integer(n, paths, stats=stats)
+    assert stats.d_upper_evals >= 5 + len(paths)  # at least each path's next item
+    best = min(
+        d_upper(split, paths)
+        for split in itertools.product(range(n + 1), repeat=len(paths))
+        if sum(split) == n
+    )
+    assert d_upper(counts, paths) == best
+    assert counts == cheapest_items(n, paths)
+    # the selection is exact from any start, which exercises its swaps
+    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
+    assert take_cheapest(n, terms, list(start)) == counts
+    if n == 9 and paths[0].mu_ms == 4.7261:
+        # the best floor/ceil corner of the relaxation was (2, 1, 1, 5) at 22.63
+        assert counts == (2, 0, 1, 6)
+
+
+@st.composite
+def two_path_inputs(draw):
+    n = draw(st.integers(1, 1000))
+    paths = [
+        PathParams(
+            draw(st.floats(0.1, 30.0)), draw(st.floats(0.0, 50.0)),
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))), draw(st.integers(0, 60)),
+        )
+        for _ in range(2)
+    ]
+    return n, paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_path_inputs())
+@example((1000, [PathParams(2.0, 3.0, 0.0, 60), PathParams(2.0, 3.0, 0.0, 60)]))
+@example((7, [PathParams(1.0, 0.0, 5.0), PathParams(1.0, 0.0)]))
+def test_two_path_bisection_is_the_selection(case):
+    # _solve_two is the m = 2 fast path of take_cheapest
+    n, paths = case
+    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
+    assert solve_integer(n, paths) == take_cheapest(n, terms, [0, 0])
 
 
 def test_integer_monotone_in_n():
