@@ -16,13 +16,9 @@ from .delay_sources import (
 )
 from .errors import (
     ConfigError,
-    DegenerateInputError,
-    DomainError,
-    InfeasibleError,
     NoDataError,
     ParseError,
     SosimError,
-    UsageError,
     ValidationError,
 )
 from .estimation import RollingWindow, snapshot_params

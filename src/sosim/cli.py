@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import SosimError, UsageError
+from .errors import ConfigError, SosimError
 from .harness import SWEEP_AXES, _run_paired, parse_config, run_sweep, write_csv
 from .priority_engine import ORDERINGS
 from .simulator import MODES, SCHEDULERS
@@ -77,7 +77,7 @@ def _sweep_values(axis: str, text: str) -> list:
     try:
         return [parse(v) for v in text.split(",") if v]
     except ValueError as exc:
-        raise UsageError(f"bad --values for axis {axis}: {exc}") from exc
+        raise ConfigError(f"bad --values for axis {axis}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
             )
         else:
             if args.command == "page" and config.page_spec is None:
-                raise UsageError("page command needs page_spec in the config or --page-spec")
+                raise ConfigError("page command needs page_spec in the config or --page-spec")
             rows = [_run_paired(config, args.baseline)]
         write_csv(rows, sys.stdout if args.out is None else args.out)
     except SosimError as exc:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, require_count
 
 KINDS = ("deterministic", "gamma", "trace")
 # Fields each kind never reads; a spec must leave them at their defaults.
@@ -61,6 +61,8 @@ class DelaySourceSpec:
         ]
         if unread:
             raise ConfigError(f"{self.kind} sources do not read {', '.join(unread)}")
+        if self.seed is not None:
+            require_count("seed", self.seed, 0)  # numpy PCG64 seed
 
 
 class GammaSource:
@@ -139,7 +141,7 @@ def _parse_trace(path: Path) -> list[float]:
         if not math.isfinite(delay):
             raise ParseError(path, line_no, f"non-finite delay {parts[1].strip()!r}")
         if delay < 0:
-            raise ValidationError(f"{path}:{line_no}: negative delay {delay}")
+            raise ParseError(path, line_no, f"negative delay {delay}")
         samples.append(delay)
     if not samples:
         raise ConfigError(f"trace file {path} contains no samples")

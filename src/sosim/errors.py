@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the integer-count check."""
+"""Exception types shared across the package, and the integer-count check.
+
+One type per fault: `ConfigError` for a bad run setting (a field of
+`SimConfig`, `ExperimentConfig` or `DelaySourceSpec`, or a bad config file,
+page spec, trace file or command line), with `ParseError` when one file line
+is at fault; `ValidationError` for a bad argument to a library function; and
+`NoDataError` when estimated mode has nothing to estimate from.  All derive
+from `SosimError`.
+"""
 
 import operator
 
@@ -8,7 +16,7 @@ class SosimError(Exception):
 
 
 class ConfigError(SosimError):
-    """Invalid configuration (bad source spec, empty trace, bad experiment)."""
+    """Bad run setting (config field, config file, page spec, trace file, CLI value)."""
 
 
 class ParseError(ConfigError):
@@ -21,27 +29,11 @@ class ParseError(ConfigError):
 
 
 class ValidationError(SosimError):
-    """Argument or data violates a stated contract (negative delay, bad split...)."""
-
-
-class DomainError(SosimError):
-    """Numeric argument outside its mathematical domain."""
+    """Bad argument to a library function (negative count, bad split, bad epsilon...)."""
 
 
 class NoDataError(SosimError):
     """A statistic was requested from an empty sample window."""
-
-
-class DegenerateInputError(SosimError):
-    """Optimizer input admits no meaningful solution (zero-delay path)."""
-
-
-class InfeasibleError(SosimError):
-    """Requested quantity does not exist for the given data."""
-
-
-class UsageError(SosimError):
-    """Bad CLI/sweep usage (wrong axis, empty value list...)."""
 
 
 def require_count(name: str, value, minimum: int, error: type[SosimError] = ConfigError) -> None:

@@ -11,7 +11,7 @@ any n of the n + delta packets completes the object.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import ValidationError
 from .scheduler_core import PathParams, Plan, solve_integer
 
 DEFAULT_GAMMA = 0.5
@@ -24,7 +24,7 @@ def solve_fec_split(n: int, paths, gamma: float = DEFAULT_GAMMA) -> Plan:
     is the plain split the totals grow from.
     """
     if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     paths = list(paths)
     base = solve_integer(n, paths)
     if gamma == 1.0 or all(p.w == 0.0 for p in paths):

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
-from .errors import ConfigError, DomainError, UsageError, require_count
+from .errors import ConfigError, ValidationError, require_count
 from .estimation import nearest_rank
 from .fec import DEFAULT_GAMMA
 from .priority_engine import ORDERINGS, run_page
-from .simulator import MODES, SCHEDULERS, ParamFeed, SimConfig, make_policy
+from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
 
 CSV_COLUMNS = (
@@ -57,29 +57,29 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scheduler not in SCHEDULERS:
-            raise UsageError(f"unknown scheduler {self.scheduler!r}")
+            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if not self.paths:
-            raise UsageError("need at least one path")
-        require_count("replications", self.replications, 1, UsageError)
+            raise ConfigError("need at least one path")
+        require_count("replications", self.replications, 1)
         if (self.object_size is None) == (self.page_spec is None):
-            raise UsageError("configure exactly one of object_size or page_spec")
+            raise ConfigError("configure exactly one of object_size or page_spec")
         if self.object_size is not None:
-            require_count("object_size", self.object_size, 1, UsageError)
-        if self.mode not in MODES:
-            raise UsageError(f"unknown mode {self.mode!r}")
+            require_count("object_size", self.object_size, 1)
         if self.ordering not in ORDERINGS:
-            raise UsageError(f"unknown ordering {self.ordering!r}")
-        require_count("warmup_packets", self.warmup_packets, 0, UsageError)
-        require_count("seed", self.seed, 0, UsageError)  # numpy SeedSequence entropy
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
+            raise ConfigError(f"unknown ordering {self.ordering!r}")
+        require_count("seed", self.seed, 0)  # numpy SeedSequence entropy
+        # SimConfig checks epsilon, gamma, ack_return_ms, mode and warmup_packets.
+        sim = SimConfig(
             epsilon=self.epsilon,
             gamma=self.gamma,
             ack_return_ms=self.ack_return_ms,
             mode=self.mode,
             warmup_packets=self.warmup_packets,
         )
+        object.__setattr__(self, "_sim_config", sim)
+
+    def sim_config(self) -> SimConfig:
+        return self._sim_config
 
 
 @dataclass
@@ -97,7 +97,7 @@ class MetricsRow:
 def improvement_pct(baseline_ms: float, candidate_ms: float) -> float:
     """Ratio-minus-one improvement: 100% means the candidate is twice as fast."""
     if baseline_ms <= 0 or candidate_ms <= 0:
-        raise DomainError("improvement needs positive delays")
+        raise ValidationError("improvement needs positive delays")
     return (baseline_ms / candidate_ms - 1.0) * 100.0
 
 
@@ -213,22 +213,22 @@ SWEEP_AXES = ("sigma", "object_size", "gamma")
 def _apply_axis(config: ExperimentConfig, axis: str, value, axis_path: int) -> ExperimentConfig:
     if axis == "sigma":
         if not 0 <= axis_path < len(config.paths):
-            raise UsageError(f"axis_path {axis_path} out of range")
+            raise ConfigError(f"axis_path {axis_path} out of range")
         target = config.paths[axis_path]
         if target.kind != "gamma":
-            raise UsageError("sigma sweeps need a gamma-distributed path at axis_path")
+            raise ConfigError("sigma sweeps need a gamma-distributed path at axis_path")
         paths = list(config.paths)
         paths[axis_path] = replace(target, stddev_ms=float(value))
         return replace(config, paths=tuple(paths))
     if axis == "object_size":
         if config.object_size is None:
-            raise UsageError("object_size sweeps need a fixed-size workload")
+            raise ConfigError("object_size sweeps need a fixed-size workload")
         return replace(config, object_size=value)
     if axis == "gamma":
         if config.scheduler != "sos_fec":
-            raise UsageError("gamma sweeps only apply to the sos_fec scheduler")
+            raise ConfigError("gamma sweeps only apply to the sos_fec scheduler")
         return replace(config, gamma=float(value))
-    raise UsageError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")
+    raise ConfigError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")
 
 
 def run_sweep(
@@ -242,13 +242,16 @@ def run_sweep(
     scheduler run with identical sources and seeds."""
     values = list(values)
     if not values:
-        raise UsageError("sweep needs at least one axis value")
+        raise ConfigError("sweep needs at least one axis value")
     if baseline is not None and baseline not in SCHEDULERS:
-        raise UsageError(f"unknown baseline scheduler {baseline!r}")
+        raise ConfigError(f"unknown baseline scheduler {baseline!r}")
+    # Build every point first, so a bad value is refused before any point runs.
+    points = [
+        replace(_apply_axis(base, axis, value, axis_path), seed=base.seed + i, label="")
+        for i, value in enumerate(values)
+    ]
     rows = []
-    for i, value in enumerate(values):
-        point = _apply_axis(base, axis, value, axis_path)
-        point = replace(point, seed=base.seed + i, label="")
+    for value, point in zip(values, points):
         row = _run_paired(point, baseline)
         row.label = f"{axis}={value}/{row.label}"
         rows.append(row)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from math import sqrt
 
-from .errors import DegenerateInputError, DomainError, ValidationError
+from .errors import ValidationError
 
 #: Relative width at which the water-level bisection stops.
 LEVEL_TOLERANCE = 1e-12
@@ -90,7 +90,7 @@ def compute_w(epsilon_j: float, a_ms: float, b_ms: float) -> float:
     range collapses (a == b) or eps_j == 1.
     """
     if not 0.0 < epsilon_j <= 1.0:
-        raise DomainError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
+        raise ValidationError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
     if a_ms > b_ms:
         raise ValidationError(f"lower bound {a_ms} exceeds upper bound {b_ms}")
     return math.sqrt(-math.log(epsilon_j) * (b_ms - a_ms) ** 2 / 2.0)
@@ -104,7 +104,7 @@ def variance_w(epsilon_j: float, sigma_ms: float) -> float:
     (b - a)^2 / 4.  Zero when sigma == 0 or eps_j == 1.
     """
     if not 0.0 < epsilon_j <= 1.0:
-        raise DomainError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
+        raise ValidationError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
     if sigma_ms < 0:
         raise ValidationError(f"negative delay stddev {sigma_ms}")
     return sigma_ms * math.sqrt(-2.0 * math.log(epsilon_j))
@@ -141,7 +141,7 @@ def _check_paths(n: int, paths) -> list[PathParams]:
         raise ValidationError("need at least one path")
     degenerate = [j for j, p in enumerate(paths) if p.mu_ms == 0.0 and p.w == 0.0]
     if degenerate:
-        raise DegenerateInputError(
+        raise ValidationError(
             f"paths {degenerate} have zero mean delay and zero variability"
         )
     if n < 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import oracle_stats
-from .errors import ConfigError, DomainError, InfeasibleError, NoDataError, require_count
+from .errors import ConfigError, NoDataError, SosimError, require_count
 from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
 from .scheduler_core import PathParams, Plan, split_object, variance_w
 from .workloads import ObjectSpec
@@ -55,9 +55,9 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 <= self.gamma <= 1.0:  # NaN fails both comparisons
-            raise DomainError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
         if not 0.0 <= self.ack_return_ms < math.inf:  # NaN fails both comparisons
@@ -280,7 +280,7 @@ class LiveObject:
 
     def record(self) -> TransferRecord:
         if self.completion_ms is None or self.start_ms is None:
-            raise InfeasibleError(f"object {self.spec.id!r} never completed")
+            raise SosimError(f"object {self.spec.id!r} never completed")
         return TransferRecord(
             object_id=self.spec.id,
             start_ms=self.start_ms,

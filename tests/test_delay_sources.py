@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from sosim.delay_sources import (
     make_source,
     oracle_stats,
 )
-from sosim.errors import ConfigError, ParseError, ValidationError
+from sosim.errors import ConfigError, ParseError
 from sosim.harness import ExperimentConfig, run_experiment
 from sosim.priority_engine import run_page
 from sosim.simulator import SCHEDULERS, SimConfig, run_transfer
@@ -147,6 +148,25 @@ def test_spec_refuses_a_field_its_kind_never_reads(kind, field, value):
         DelaySourceSpec(kind=kind, **{**READ_IN_FULL[kind], field: value})
 
 
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")]
+)
+def test_spec_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        DelaySourceSpec(kind="gamma", mean_ms=10.0, stddev_ms=1.0, seed=seed)
+
+
+def test_trace_spec_needs_a_trace_path():
+    with pytest.raises(ConfigError, match="trace sources need a trace_path"):
+        DelaySourceSpec(kind="trace")
+
+
+def test_trace_blank_lines_are_skipped(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("0,1.0\n\n  \n1,2.0\n")
+    assert np.array_equal(trace_source(f).take(3), [1.0, 2.0, 1.0])
+
+
 def test_trace_wraparound(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0,2.5\n1,3.0\n")
@@ -171,7 +191,7 @@ def test_trace_header_skipped(tmp_path):
 def test_trace_negative_delay(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0,-1.0\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         trace_source(f)
 
 

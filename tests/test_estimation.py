@@ -36,6 +36,16 @@ def test_default_capacity_keeps_last_5000():
     assert w.as_array().min() == 1.0  # sample 0 evicted
 
 
+def test_window_capacity_must_be_positive():
+    with pytest.raises(ValidationError, match="capacity"):
+        RollingWindow(0)
+
+
+def test_empty_window_has_no_array():
+    with pytest.raises(NoDataError, match="window is empty"):
+        RollingWindow(5).as_array()
+
+
 def test_negative_sample_rejected():
     w = RollingWindow(5)
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sosim.errors import DomainError
+from sosim.errors import ValidationError
 from sosim.fec import solve_fec_split
 from sosim.scheduler_core import PathParams, solve_integer
 
@@ -32,9 +32,9 @@ def test_zero_variability_means_zero_redundancy():
 
 
 def test_gamma_out_of_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_fec_split(10, WILD_PLUS_STABLE, gamma=1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_fec_split(10, WILD_PLUS_STABLE, gamma=-0.1)
 
 

@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sosim import delay_sources
+import sosim
+from sosim import delay_sources, errors, harness
 from sosim.cli import main
 from sosim.delay_sources import DelaySourceSpec
-from sosim.errors import ConfigError, DomainError, UsageError
+from sosim.errors import ConfigError, ValidationError
 from sosim.harness import (
     ExperimentConfig,
     MetricsRow,
@@ -69,9 +70,9 @@ def test_improvement_examples():
 
 
 def test_improvement_rejects_nonpositive():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         improvement_pct(0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         improvement_pct(1.0, -1.0)
 
 
@@ -93,15 +94,15 @@ def test_same_config_same_row():
 
 
 def test_config_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         small(scheduler="minRTT")
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(paths=TWO_GAMMA, object_size=None, page_spec=None)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         small(replications=0)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(paths=(), object_size=5)
-    with pytest.raises(UsageError, match="warmup_packets"):
+    with pytest.raises(ConfigError, match="warmup_packets"):
         small(mode="estimated", warmup_packets=-7)
 
 
@@ -111,8 +112,28 @@ def test_config_validation():
      ("seed", 2.5), ("seed", -1)],
 )
 def test_count_fields_must_be_integers(field, value):
-    with pytest.raises(UsageError, match=field):
+    with pytest.raises(ConfigError, match=field):
         small(mode="estimated", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mode", "x"), ("warmup_packets", -1), ("epsilon", 2.0), ("gamma", 1.5), ("ack_return_ms", -1.0)],
+)
+def test_run_settings_refused_alike_when_built(field, value):
+    with pytest.raises(ConfigError, match=field) as direct:
+        SimConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field) as built:
+        small(**{field: value})
+    assert str(built.value) == str(direct.value)
+
+
+def test_error_types_are_the_five():
+    def types(module):
+        return {n for n, v in vars(module).items() if isinstance(v, type) and issubclass(v, Exception)}
+
+    five = {"SosimError", "ConfigError", "ParseError", "ValidationError", "NoDataError"}
+    assert types(errors) == five and types(sosim) == five
 
 
 def test_count_fields_accept_numpy_integers():
@@ -138,19 +159,43 @@ def test_sweep_single_value():
 
 
 def test_sweep_empty_values():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_sweep(small(), "sigma", [])
 
 
 def test_sweep_axis_mismatch():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_sweep(small(), "gamma", [0.5])  # gamma sweep on non-FEC scheduler
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_sweep(small(), "sigma", [1.0], axis_path=5)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_sweep(small(), "unknown_axis", [1.0])
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_sweep(small(), "object_size", [2.5, 7.9])  # no silent truncation
+
+
+@pytest.mark.parametrize(
+    "config, axis, baseline, message",
+    [
+        (small(paths=(TWO_GAMMA[0], DelaySourceSpec(kind="deterministic", mean_ms=5.0))),
+         "sigma", None, "sigma sweeps need a gamma-distributed path"),
+        (small(object_size=None, page_spec="page.csv"), "object_size", None,
+         "object_size sweeps need a fixed-size workload"),
+        (small(), "sigma", "minRTT", "unknown baseline scheduler 'minRTT'"),
+    ],
+)
+def test_sweep_refusals(config, axis, baseline, message):
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(config, axis, [1], baseline=baseline)
+
+
+@pytest.mark.parametrize("baseline", [None, "sos"])
+def test_sweep_refuses_a_bad_value_before_running_any_point(monkeypatch, baseline):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    with pytest.raises(ConfigError, match="gamma must lie in"):
+        run_sweep(small(scheduler="sos_fec"), "gamma", [0.5, 1.5], baseline=baseline)
+    assert runs == []
 
 
 def test_object_size_sweep():
@@ -404,6 +449,13 @@ def test_cli_path_field_its_kind_never_reads_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {f}: [path] section:") and "do not read stddev_ms" in err
 
 
+def test_cli_negative_path_seed_exits_2(tmp_path, capsys):
+    f = tmp_path / "seed.cfg"
+    f.write_text(CONFIG_TEXT + "seed = -1\n")  # in the last [path] section
+    assert main(["run", "--config", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {f}: [path] section: seed must be >= 0, got -1\n"
+
+
 def test_cli_config_file_names_are_relative_to_the_config(tmp_path, monkeypatch, capsys):
     probe = tmp_path / "probe"
     probe.mkdir()
@@ -436,7 +488,7 @@ def test_cli_malformed_sweep_values_exit_2(config_file, capsys, axis, values):
 
 def test_epsilon_outside_unit_interval_rejected(tmp_path):
     for eps in (0.0, 1.0, 1.5):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             SimConfig(epsilon=eps)
     f = tmp_path / "eps.cfg"
     f.write_text(CONFIG_TEXT.replace("epsilon = 0.05", "epsilon = 1.5"))

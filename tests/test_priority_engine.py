@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import ValidationError
+from sosim.errors import ConfigError, ValidationError
 from sosim.priority_engine import PriorityEngine, run_page
 from sosim.scheduler_core import split_object
 from sosim.simulator import SimConfig, run_transfer
@@ -175,6 +175,11 @@ def test_split_matches_backlog_replay():
     assert engine.policy.calls
     for n, params, counts in engine.policy.calls:
         assert counts == split_object(n, params)
+
+
+def test_engine_refuses_an_unknown_ordering():
+    with pytest.raises(ConfigError, match="unknown ordering 'x'"):
+        PriorityEngine([ObjectSpec("a", 1)], sources(det(1.0)), ordering="x")
 
 
 def test_run_page_refuses_fractional_size():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sosim.errors import DegenerateInputError, DomainError, ValidationError
+from sosim.errors import ValidationError
 from sosim.scheduler_core import (
     LEVEL_TOLERANCE,
     MASS_TOLERANCE,
@@ -62,9 +62,9 @@ def test_w_hand_value():
 
 
 def test_w_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         compute_w(0.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         compute_w(-0.1, 1.0, 2.0)
     with pytest.raises(ValidationError):
         compute_w(0.5, 3.0, 2.0)
@@ -94,9 +94,9 @@ def test_variance_w_zero_cases():
 
 
 def test_variance_w_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         variance_w(0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         variance_w(1.5, 1.0)
     with pytest.raises(ValidationError):
         variance_w(0.5, -1.0)
@@ -174,8 +174,15 @@ def test_relaxed_skips_unreachable_path():
 
 
 def test_relaxed_degenerate_error():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValidationError):
         solve_relaxed(5, [PathParams(0.0, 0.0), PathParams(0.0, 0.0)])
+
+
+def test_integer_refuses_no_paths_and_negative_sizes():
+    with pytest.raises(ValidationError, match="at least one path"):
+        solve_integer(3, [])
+    with pytest.raises(ValidationError, match="object size must be nonnegative"):
+        solve_integer(-1, [flat_path(1.0), flat_path(2.0)])
 
 
 def test_relaxed_wardrop_equalization_random():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sosim.delay_sources import DelaySourceSpec, make_source
-from sosim.errors import ConfigError, DomainError, NoDataError, ValidationError
+from sosim.errors import ConfigError, NoDataError, SosimError, ValidationError
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, d_upper, variance_w
 from sosim.workloads import ObjectSpec
@@ -18,6 +18,7 @@ from sosim.simulator import (
     Plan,
     SimConfig,
     Simulation,
+    make_policy,
     run_transfer,
 )
 
@@ -173,8 +174,21 @@ def test_bad_ack_return_rejected_at_config(ack):
 
 @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
 def test_gamma_outside_unit_interval_rejected_at_config(gamma):
-    with pytest.raises(DomainError, match="gamma"):
+    with pytest.raises(ConfigError, match="gamma"):
         SimConfig(gamma=gamma)
+
+
+def test_unknown_mode_and_scheduler_rejected():
+    with pytest.raises(ConfigError, match="unknown parameter mode 'x'"):
+        SimConfig(mode="x")
+    with pytest.raises(ConfigError, match="unknown scheduler 'x'"):
+        make_policy("x")
+
+
+def test_record_of_an_incomplete_object_is_refused():
+    live = LiveObject(ObjectSpec("x", 2), 2, coded=False)
+    with pytest.raises(SosimError, match="object 'x' never completed"):
+        live.record()
 
 
 def test_priors_must_match_the_path_count():

@@ -37,6 +37,16 @@ def test_trigger_parse_forms():
         Trigger.parse("whenever")
 
 
+def test_trigger_parse_refuses_a_dependency_without_a_packet():
+    with pytest.raises(ValueError, match="bad dependency trigger"):
+        Trigger.parse("dep:a")
+
+
+def test_random_page_needs_an_object():
+    with pytest.raises(ValidationError, match="at least one object"):
+        random_page(np.random.default_rng(0), 0, 1, 0.2)
+
+
 def test_object_spec_validation():
     with pytest.raises(ValidationError):
         ObjectSpec("x", 0)
