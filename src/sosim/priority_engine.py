@@ -104,9 +104,7 @@ class PriorityEngine:
         residual = live.needed - sum(live.sent_per_path)
         if residual <= 0:
             return  # already satisfied by packets in flight
-        params, stddevs = self.sim.feed.snapshot(self.sim.in_flight)
-        plan = self.policy.plan(residual, params, stddevs)
-        self.sim.dispatch(live, plan, params, now)
+        self.sim.dispatch(live, *self.sim.decide(self.policy, residual), now)
 
     # -- driving ------------------------------------------------------------
 

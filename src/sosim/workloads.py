@@ -58,14 +58,17 @@ class Trigger:
         text = text.strip()
         if text == "t0":
             return cls.t0()
-        if text.startswith("t:"):
-            return cls.at(float(text[2:]))
-        if text.startswith("dep:"):
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"bad dependency trigger {text!r}")
-            return cls.dep(parts[1], int(parts[2]))
-        raise ValueError(f"unknown trigger {text!r}")
+        try:
+            if text.startswith("t:"):
+                return cls.at(float(text[2:]))
+            if text.startswith("dep:"):
+                parts = text.split(":")
+                if len(parts) == 3:
+                    return cls.dep(parts[1], int(parts[2]))
+                raise ValidationError(f"bad dependency trigger {text!r}")
+        except ValueError as exc:  # float() or int() of the number
+            raise ValidationError(f"bad trigger {text!r}: {exc}") from None
+        raise ValidationError(f"unknown trigger {text!r}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosim import simulator
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.errors import ConfigError, ValidationError
 from sosim.priority_engine import PriorityEngine, run_page
@@ -364,3 +365,94 @@ def test_engine_outcomes_are_pinned():
     assert len(outcomes) == 288
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "adbaeb09d66c0c5fc55c2707807307028119823d66581dd6506425c98991b317"
+
+
+# -- shared oracle decisions ---------------------------------------------------
+
+
+def test_engine_outcomes_do_not_depend_on_shared_decisions(monkeypatch):
+    # The pin holds with the shared decisions cleared before every run (each
+    # run builds one Simulation), and again with them warm from a full pass.
+    build = simulator.Simulation.__init__
+
+    def fresh(sim, *args, **kwargs):
+        simulator._DECISIONS.clear()
+        build(sim, *args, **kwargs)
+
+    monkeypatch.setattr(simulator.Simulation, "__init__", fresh)
+    test_engine_outcomes_are_pinned()
+    monkeypatch.undo()
+    _engine_outcomes()
+    assert simulator._DECISIONS
+    test_engine_outcomes_are_pinned()
+
+
+def test_estimated_mode_shares_no_decision():
+    simulator._DECISIONS.clear()
+    page = random_page(np.random.default_rng(3), 12, 3, 0.3)
+    for extra in ({"priors": ((4.0, 3.0), (7.0, 2.0))}, {"warmup_packets": 20}):
+        cfg = SimConfig(mode="estimated", **extra)
+        for scheduler in simulator.SCHEDULERS:
+            run_page(page, sources(gam(4, 3, seed=1), gam(7, 2, seed=2)), cfg, scheduler)
+            run_transfer([5, 9, 2], scheduler, sources(gam(4, 3, seed=1), gam(7, 2, seed=2)), cfg)
+    assert simulator._DECISIONS == {}
+
+
+def test_a_substituted_policy_decides_every_dispatch(monkeypatch):
+    class CountingPolicy:
+        coded = False
+
+        def __init__(self):
+            self.inner = simulator.make_policy("sos")
+            self.calls = 0
+
+        def plan(self, n, params, stddevs):
+            self.calls += 1
+            return self.inner.plan(n, params, stddevs)
+
+    dispatches = []
+    dispatch = simulator.Simulation.dispatch
+    monkeypatch.setattr(simulator.Simulation, "dispatch",
+                        lambda sim, *args: dispatches.append(1) or dispatch(sim, *args))
+    page = random_page(np.random.default_rng(4), 15, 3, 0.3)
+    for _ in range(2):  # the second run repeats every decision of the first
+        dispatches.clear()
+        engine = PriorityEngine(page, sources(gam(3, 2, seed=7), gam(5, 1, seed=8)))
+        engine.policy = CountingPolicy()
+        engine.run()
+        assert engine.policy.calls == len(dispatches) > 0
+
+
+def test_shared_decisions_stay_within_the_limit(monkeypatch):
+    monkeypatch.setattr(simulator, "_DECISION_LIMIT", 8)
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    sizes = []
+    decide = simulator.Simulation.decide
+
+    def recording(sim, policy, n):
+        decision = decide(sim, policy, n)
+        sizes.append(len(simulator._DECISIONS))
+        return decision
+
+    monkeypatch.setattr(simulator.Simulation, "decide", recording)
+    rng = np.random.default_rng(6)
+    for scheduler in simulator.SCHEDULERS:
+        run_page(random_page(rng, 20, 3, 0.3), sources(gam(3, 2, seed=1), gam(5, 1, seed=2)),
+                 SimConfig(), scheduler)
+    assert max(sizes) == 8
+    assert sizes.count(1) > 1  # the dict filled up and was cleared
+
+
+def test_a_repeated_oracle_page_reuses_every_decision(monkeypatch):
+    solves = []
+    solve = simulator.split_object
+    monkeypatch.setattr(simulator, "split_object",
+                        lambda n, paths: solves.append(n) or solve(n, paths))
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    page = random_page(np.random.default_rng(5), 20, 3, 0.3)
+    first = run_page(page, sources(gam(3, 2, seed=9), gam(5, 1, seed=10)), SimConfig(), "sos")
+    assert solves
+    solves.clear()
+    again = run_page(page, sources(gam(3, 2, seed=9), gam(5, 1, seed=10)), SimConfig(), "sos")
+    assert solves == []
+    assert again == first

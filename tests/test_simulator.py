@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.errors import ConfigError, NoDataError, SosimError, ValidationError
@@ -18,6 +21,7 @@ from sosim.simulator import (
     Plan,
     SimConfig,
     Simulation,
+    dispatch_order,
     make_policy,
     run_transfer,
 )
@@ -58,9 +62,8 @@ def test_serial_deterministic_path():
 def test_one_packet_per_path_is_max_of_delays():
     # force a (1, 1) split through the engine directly
     sim = Simulation([make_source(det(2.0)), make_source(det(5.0))])
-    params = [PathParams(2.0, 0.0), PathParams(5.0, 0.0)]
     live = LiveObject(ObjectSpec("x", 2), 2, coded=False)
-    sim.dispatch(live, Plan((1, 1), 2), params, 0.0)
+    sim.dispatch(live, Plan((1, 1), 2), (0, 1), 0.0)
     sim.run()
     assert live.completion_ms == pytest.approx(5.0)
 
@@ -101,9 +104,8 @@ def test_estimated_mode_records_gaps():
     src = make_source(det(3.0))
     cfg = SimConfig(mode="estimated", warmup_packets=0)
     simulation = Simulation([src], cfg)
-    feed_params = [PathParams(3.0, 0.0)]
     live = LiveObject(ObjectSpec("x", 5), 1, coded=False)
-    simulation.dispatch(live, Plan((5,), 5), feed_params, 0.0)
+    simulation.dispatch(live, Plan((5,), 5), (0,) * 5, 0.0)
     simulation.run()
     # 5 services, first of the busy run unrecorded
     assert simulation.feed.windows[0].as_array().tolist() == [3.0, 3.0, 3.0, 3.0]
@@ -282,7 +284,49 @@ def test_run_transfer_rejects_empty_sources():
         run_transfer([3], "sos", [])
 
 
+def test_simulation_without_paths_is_a_validation_error():
+    # an empty path list is a bad library argument, as it is for solve_integer
+    with pytest.raises(ValidationError, match="at least one path"):
+        Simulation([])
+
+
 def test_run_transfer_refuses_fractional_size():
     # sizes are packet counts: 2.7 used to be truncated to 2 packets
     with pytest.raises(ValidationError, match="integer size_packets"):
         run_transfer([2.7], "sos", [make_source(det(5.0))])
+
+
+# -- dispatch order -------------------------------------------------------------
+
+
+def heap_dispatch_order(counts, params):
+    """Reference: a heap merge of the per-path arrival sequences, popping
+    (time, path, k) and pushing each path's next packet as its last is taken."""
+    heap = [((p.in_flight + 1) * p.mu_ms + p.prop_ms, j, 1)
+            for j, (c, p) in enumerate(zip(counts, params)) if c > 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, j, k = heapq.heappop(heap)
+        order.append(j)
+        if k < counts[j]:
+            p = params[j]
+            heapq.heappush(heap, ((p.in_flight + k + 1) * p.mu_ms + p.prop_ms, j, k + 1))
+    return tuple(order)
+
+
+# Integer-valued means and delays make equal arrival times common; -0.0 and
+# a zero mean are the corner values of the float keys.
+_times = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5]),
+                   st.floats(0.0, 20.0, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), _times, _times, st.integers(0, 6)),
+                min_size=1, max_size=5))
+def test_dispatch_order_is_the_heap_merge(paths):
+    counts = tuple(c for c, _, _, _ in paths)
+    params = [PathParams(mu, 1.0, prop, u) for _, mu, prop, u in paths]
+    order = dispatch_order(counts, params)
+    assert order == heap_dispatch_order(counts, params)
+    assert tuple(order.count(j) for j in range(len(counts))) == counts

@@ -33,12 +33,12 @@ def test_trigger_parse_forms():
     assert Trigger.parse("t0") == Trigger.t0()
     assert Trigger.parse("t:12.5") == Trigger.at(12.5)
     assert Trigger.parse("dep:obj1:3") == Trigger.dep("obj1", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Trigger.parse("whenever")
 
 
 def test_trigger_parse_refuses_a_dependency_without_a_packet():
-    with pytest.raises(ValueError, match="bad dependency trigger"):
+    with pytest.raises(ValidationError, match="bad dependency trigger"):
         Trigger.parse("dep:a")
 
 
