@@ -323,12 +323,13 @@ def parse_config(path) -> ExperimentConfig:
     global_kv: dict = {}
     path_blocks: list[dict] = []
     current: dict | None = None
+    key_lines: dict[str, int] = {}  # where each key of the current section was set
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[path]":
-            current = {}
+            current, key_lines = {}, {}
             path_blocks.append(current)
             continue
         if "=" not in line:
@@ -338,6 +339,10 @@ def parse_config(path) -> ExperimentConfig:
         table = _PATH_KEYS if current is not None else _GLOBAL_KEYS
         if key not in table:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{line_no}: {key!r} is already set on line {key_lines[key]} "
+                              "of this section")
+        key_lines[key] = line_no
         try:
             parsed = table[key](value)
         except ValueError as exc:

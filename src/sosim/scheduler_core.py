@@ -20,8 +20,10 @@ The solvers choose integer splits by d_upper.  Path j's bound with x new
 packets, b_j(x) = t_upper_j(x) + prop_j, does not decrease in x, so the
 integer optimum takes the n smallest items b_j(x), x >= 1 (any split's bound
 is at least its largest item and every b_j(0)).  Two paths find them by a
-bisection on the first count; more paths start from the floors of the
-fractional relaxation's water level (the Wardrop split) at a coarse width.
+bisection on the first count; more paths start from the floors of the shares
+at a water level (the fractional relaxation's, a Wardrop split) that a few
+Newton steps approach from above.  :func:`solve_relaxed` bisects that level
+to a relative width of 1e-12.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .errors import ValidationError
 
 #: Relative width at which the water-level bisection stops.
 LEVEL_TOLERANCE = 1e-12
-#: Relative width of the level whose floors start the integer selection; the
-#: selection is exact from any start, so this sets only the work it does.
-SELECTION_TOLERANCE = 1e-3
 #: Relative mismatch between allocated mass and n accepted by the relaxed solver.
 MASS_TOLERANCE = 1e-9
 
@@ -149,45 +148,33 @@ def _check_paths(n: int, paths) -> list[PathParams]:
     return paths
 
 
-def _level_shares(n: int, paths: list[PathParams], tolerance: float) -> list[float]:
-    """Per-path continuous shares at the water level, bisected until the
-    shares sum to n or the level's relative width falls to `tolerance`."""
-    # A path's allocation at level L solves mu*s^2 + w*s = L - prop for
-    # s = sqrt(x + u); these are the per-path terms of that root.
-    terms = [(p.prop_ms, p.w, p.in_flight, p.w * p.w, 4.0 * p.mu_ms, 2.0 * p.mu_ms) for p in paths]
-
-    def shares(level: float) -> list[float]:
-        """Per path, the largest continuous x >= 0 with t_upper(x) + prop <= level."""
-        xs = []
-        for prop, w, u, w2, mu4, mu2 in terms:
-            budget = level - prop
-            if budget <= 0:
-                xs.append(0.0)
-                continue
-            if mu2 == 0.0:
-                s = budget / w
-            else:
-                s = (-w + sqrt(w2 + mu4 * budget)) / mu2
-            x = s * s - u
-            xs.append(x if x > 0.0 else 0.0)  # same as max(0.0, x), -0.0 and NaN too
-        return xs
-
-    # At level lo nothing fits anywhere; at level hi the cheapest path alone
-    # already absorbs all n packets, so the target level lies in between.
-    lo = min(t_upper(0, p.in_flight, p) + p.prop_ms for p in paths)
-    hi = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
-
-    while hi - lo > tolerance * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        total = sum(shares(mid))
-        if abs(total - n) <= MASS_TOLERANCE * n:
-            lo = hi = mid
-            break
-        if total < n:
-            lo = mid
+def _shares(level: float, terms) -> tuple[list[float], float]:
+    """Per path, the largest continuous x >= 0 with t_upper(x) + prop <= level,
+    and the sum of dx/dlevel over the paths whose x is positive."""
+    xs = []
+    slope = 0.0
+    for prop, w, u, w2, mu4, mu2 in terms:
+        budget = level - prop
+        if budget <= 0:
+            xs.append(0.0)
+            continue
+        # s = sqrt(x + u) solves mu*s^2 + w*s = budget; ds/dbudget = 1/r, r = 2*mu*s + w
+        if mu2 == 0.0:
+            r, s = w, budget / w
         else:
-            hi = mid
-    return shares(0.5 * (lo + hi))
+            r = sqrt(w2 + mu4 * budget)
+            s = (r - w) / mu2
+        x = s * s - u
+        if x > 0.0:  # also refuses -0.0 and NaN
+            slope += 2.0 * s / r
+        else:
+            x = 0.0
+        xs.append(x)
+    return xs, slope
+
+
+def _level_terms(paths: list[PathParams]) -> list[tuple]:
+    return [(p.prop_ms, p.w, p.in_flight, p.w * p.w, 4.0 * p.mu_ms, 2.0 * p.mu_ms) for p in paths]
 
 
 def solve_relaxed(n: int, paths) -> list[float]:
@@ -202,7 +189,22 @@ def solve_relaxed(n: int, paths) -> list[float]:
     paths = _check_paths(n, paths)
     if n == 0:
         return [0.0] * len(paths)
-    xs = _level_shares(n, paths, LEVEL_TOLERANCE)
+    terms = _level_terms(paths)
+    # At level lo nothing fits anywhere; at level hi the cheapest path alone
+    # already absorbs all n packets, so the target level lies in between.
+    lo = min(t_upper(0, p.in_flight, p) + p.prop_ms for p in paths)
+    hi = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
+    while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        total = sum(_shares(mid, terms)[0])
+        if abs(total - n) <= MASS_TOLERANCE * n:
+            lo = hi = mid
+            break
+        if total < n:
+            lo = mid
+        else:
+            hi = mid
+    xs = _shares(0.5 * (lo + hi), terms)[0]
     mass = sum(xs)
     return [x * (n / mass) for x in xs] if mass > 0.0 else xs
 
@@ -289,6 +291,8 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, 
 
     The split is the n smallest bound increments in (b, j, x) order, an
     integer optimum of the bound; ties give more packets to lower-index paths.
+    At m >= 3 it starts from the share floors at a water level that Newton
+    steps approach from above; the start sets only the work, not the split.
     """
     paths = _check_paths(n, paths)
     m = len(paths)
@@ -299,7 +303,18 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, 
     if m == 2:
         return _solve_two(n, paths, stats)
 
-    counts = [int(min(x, n)) for x in _level_shares(n, paths, SELECTION_TOLERANCE)]
+    # Newton steps on the share total S(level) from the level where the
+    # cheapest path alone takes all n.  S is increasing and convex, so they
+    # fall towards the root from its right.  S - n >= 0.5 leaves a share above
+    # 1.5/m, whose slope term is positive (or NaN), so no step divides by
+    # zero; a step that does not lower the level (or is NaN) ends them.
+    level_terms = _level_terms(paths)
+    level = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
+    xs, slope = _shares(level, level_terms)
+    while (excess := sum(xs) - n) >= 0.5 and (nxt := level - excess / slope) < level:
+        level = nxt
+        xs, slope = _shares(level, level_terms)
+    counts = [int(min(x, n)) for x in xs]
     terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
     return take_cheapest(n, terms, counts, stats)
 

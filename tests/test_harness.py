@@ -287,6 +287,19 @@ def test_parse_config_bad_value_names_its_line(tmp_path):
         parse_config(f)
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("scheduler = sos\n", "scheduler = sos\nscheduler = edf\n", ":3: 'scheduler' is already set on line 2"),
+    ("mean_ms = 12\n", "mean_ms = 12\nmean_ms = 30\n", ":17: 'mean_ms' is already set on line 16"),
+])
+def test_cli_repeated_key_in_one_section_exits_2(tmp_path, capsys, old, new, where):
+    # the same key in two [path] sections is fine; CONFIG_TEXT has that
+    f = tmp_path / "exp.cfg"
+    f.write_text(CONFIG_TEXT.replace(old, new))
+    assert main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}{where} of this section\n"
+
+
 def test_parse_config_requires_paths(tmp_path):
     f = tmp_path / "exp.cfg"
     f.write_text("object_size = 5\n")

@@ -400,6 +400,47 @@ def test_two_path_bisection_is_the_selection(case):
     assert solve_integer(n, paths) == take_cheapest(n, terms, [0, 0])
 
 
+@pytest.mark.parametrize("n, paths, counts", [
+    # mu = 5e-324 path: its share rounds to 0 at every level below ~1e307
+    (1000, [PathParams(5e-324, 1.0), PathParams(2.0, 3.0), PathParams(3.0, 0.0)], (980, 10, 10)),
+    # 4*mu*budget underflows at the start level, so no share is positive there
+    (10**6, [PathParams(1e-300, 0.0), PathParams(2.0, 3.0), PathParams(0.0, 4.0, 7.0)],
+     (1000000, 0, 0)),
+    (50, [PathParams(0.0, 5e-324), PathParams(2.0, 3.0), PathParams(1.0, 1.0, 4.0)], (50, 0, 0)),
+    (1, [PathParams(3.0, 2.0, 0.0, 40), PathParams(2.0, 3.0, 500.0), PathParams(9.0, 0.0)],
+     (0, 0, 1)),
+    # the first Newton step is below half an ulp of the level, so it stops there
+    (567, [PathParams(2e-18, 0.0, 10.0), PathParams(2.0, 2.0), PathParams(3.0, 0.0)], (561, 3, 3)),
+])
+def test_integer_extreme_parameters(n, paths, counts):
+    assert solve_integer(n, paths) == counts
+
+
+@st.composite
+def many_path_inputs(draw):
+    """m = 3..16, n <= 2000, backlogs <= 60; some paths have mu = 0 (w > 0),
+    some w = 0, and some a propagation delay above every path's bound at n."""
+    m = draw(st.integers(3, 16))
+    paths = []
+    for _ in range(m):
+        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0), st.integers(1, 5).map(float)))
+        w = draw(st.floats(1e-3, 60.0) if mu == 0.0 else st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+        prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e5, 1e7)))
+        paths.append(PathParams(mu, w, prop, draw(st.integers(0, 60))))
+    return draw(st.integers(1, 2000)), paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(many_path_inputs())
+@example((1000, [PathParams(2.0, 3.0, 0.0, 60)] * 16))
+@example((7, [PathParams(0.0, 2.0), PathParams(1.0, 0.0, 1e6), PathParams(3.0, 0.0, 0.0, 9)]))
+def test_newton_start_is_the_selection(case):
+    # the Newton level only starts take_cheapest, which is exact from any start
+    n, paths = case
+    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
+    assert solve_integer(n, paths) == take_cheapest(n, terms, [0] * len(paths))
+
+
 def test_integer_monotone_in_n():
     rng = np.random.default_rng(11)
     paths = [
