@@ -7,8 +7,9 @@ delay, in-flight backlog) and the per-path delay stddevs.
 
 EDF sends each packet to the path with the earliest expected delivery,
 (in_flight + 1) * mean + propagation; it is the optimal greedy rule when
-delays are fixed and known.  It returns per-path counts, which the engine
-sends in `dispatch_order`; SEDPF returns the path of every packet.
+delays are fixed and known.  It returns per-path counts, picked as SOS's
+at m >= 3 from the same Newton level, which the engine sends in
+`dispatch_order`; SEDPF returns the path of every packet.
 
 SEDPF models each path's delivery time of the packet-plus-backlog as a
 Gaussian (mean scaling linearly with the queue, variance with the queue size
@@ -22,10 +23,10 @@ last path.
 
 from __future__ import annotations
 
-from math import erf, exp, inf, isfinite, sqrt, tau
+from math import erf, exp, isfinite, sqrt, tau
 
 from .errors import ValidationError
-from .scheduler_core import take_cheapest
+from .scheduler_core import _select
 
 _SQRT2 = sqrt(2.0)
 _SQRT_TAU = sqrt(tau)
@@ -34,31 +35,11 @@ _SQRT_TAU = sqrt(tau)
 def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     """Per-path counts of n packets, each sent where it is expected earliest.
 
-    The picks are :func:`take_cheapest` with w = 0, started from the level
-    where the shares (level - start_j) / mu_j sum to n, solved over the sorted
-    breakpoints start_j = in_flight_j * mu_j + prop_j.  A path with mu = 0
-    costs prop_j per packet, so the first one caps the level and takes the
-    rest.  EDF reads neither `stddevs` nor w.
+    Packet x on path j is expected at (in_flight_j + x) * mu_j + prop_j, the
+    item b_j(x) with w = 0, so the counts are the n cheapest items, picked as
+    SOS picks its split at m >= 3.  EDF reads neither `stddevs` nor w.
     """
-    starts = [p.in_flight * p.mu_ms + p.prop_ms for p in params]
-    level, flat = inf, None
-    rate = offset = 0.0
-    for start, mu, j in sorted(zip(starts, (p.mu_ms for p in params), range(len(params)))):
-        if start >= level:
-            break
-        if mu == 0.0:
-            level, flat = start, j
-            break
-        rate += 1.0 / mu
-        offset += start / mu
-        level = (n + offset) / rate
-    counts = [  # a NaN level starts every path at 0
-        int(min((level - s) / p.mu_ms, n)) if p.mu_ms > 0.0 and level > s else 0
-        for s, p in zip(starts, params)
-    ]
-    if flat is not None:
-        counts[flat] = max(0, n - sum(counts))
-    return take_cheapest(n, [(p.in_flight, p.mu_ms, 0.0, p.prop_ms) for p in params], counts)
+    return _select(n, [(p.in_flight, p.mu_ms, 0.0, p.prop_ms) for p in params])
 
 
 def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:

@@ -22,8 +22,8 @@ integer optimum takes the n smallest items b_j(x), x >= 1 (any split's bound
 is at least its largest item and every b_j(0)).  Two paths find them by a
 bisection on the first count; more paths start from the floors of the shares
 at a water level (the fractional relaxation's, a Wardrop split) that a few
-Newton steps approach from above.  :func:`solve_relaxed` bisects that level
-to a relative width of 1e-12.
+Newton steps approach from above, as do EDF's counts (w = 0) at every m.
+:func:`solve_relaxed` bisects that level to a relative width of 1e-12.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def _shares(level: float, terms) -> tuple[list[float], float]:
     return xs, slope
 
 
-def _level_terms(paths: list[PathParams]) -> list[tuple]:
-    return [(p.prop_ms, p.w, p.in_flight, p.w * p.w, 4.0 * p.mu_ms, 2.0 * p.mu_ms) for p in paths]
+def _level_terms(terms) -> list[tuple]:
+    return [(prop, w, u, w * w, 4.0 * mu, 2.0 * mu) for u, mu, w, prop in terms]
 
 
 def solve_relaxed(n: int, paths) -> list[float]:
@@ -189,7 +189,7 @@ def solve_relaxed(n: int, paths) -> list[float]:
     paths = _check_paths(n, paths)
     if n == 0:
         return [0.0] * len(paths)
-    terms = _level_terms(paths)
+    terms = _level_terms([(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths])
     # At level lo nothing fits anywhere; at level hi the cheapest path alone
     # already absorbs all n packets, so the target level lies in between.
     lo = min(t_upper(0, p.in_flight, p) + p.prop_ms for p in paths)
@@ -224,12 +224,16 @@ def take_cheapest(
         return k * mu + sqrt(k) * w + prop
 
     m = len(counts)
-    last = [item(j, c) if c else -math.inf for j, c in enumerate(counts)]
-    nxt = [item(j, c + 1) for j, c in enumerate(counts)]
+    last, nxt = [], []
+    for c, (u, mu, w, prop) in zip(counts, terms):  # item(j, c) and item(j, c + 1)
+        k = c + u
+        last.append(k * mu + sqrt(k) * w + prop if c else -math.inf)
+        k += 1
+        nxt.append(k * mu + sqrt(k) * w + prop)
     evals = sum(map(bool, counts)) + m
     total = sum(counts)
     while True:
-        lo = min(range(m), key=nxt.__getitem__)  # ties to the lowest path
+        lo = nxt.index(min(nxt))  # ties to the lowest path; no item is NaN
         if total < n:
             counts[lo] += 1
             last[lo] = nxt[lo]
@@ -237,7 +241,7 @@ def take_cheapest(
             total += 1
             evals += 1
             continue
-        j = max(reversed(range(m)), key=last.__getitem__)  # ties to the highest path
+        j = m - 1 - last[::-1].index(max(last))  # ties to the highest path
         if total == n and (last[j], j, counts[j]) < (nxt[lo], lo, counts[lo] + 1):
             break
         counts[j] -= 1
@@ -248,6 +252,31 @@ def take_cheapest(
     if stats is not None:
         stats.d_upper_evals += evals
     return tuple(counts)
+
+
+def _select(n: int, terms, stats: SolveStats | None = None) -> tuple[int, ...]:
+    """:func:`take_cheapest` on `(u, mu, w, prop)` terms, started from the
+    share floors at a level that Newton steps on the share total S approach.
+
+    They start at min_j b_j(n), where S >= n; S is increasing and convex, so
+    they fall towards the root from its right.  S - n >= 0.5 leaves a share
+    above 1.5/m, whose slope term is positive (or NaN), so no step divides by
+    zero; a step that does not lower the level (or is NaN) ends them.  A flat
+    path (mu = w = 0) keeps a zero share, as the level never passes its prop;
+    the first one by (prop, j) takes what the floors leave, which spares the
+    selection adding them one at a time.
+    """
+    level_terms = _level_terms(terms)
+    level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
+    xs, slope = _shares(level, level_terms)
+    while (excess := sum(xs) - n) >= 0.5 and (nxt := level - excess / slope) < level:
+        level = nxt
+        xs, slope = _shares(level, level_terms)
+    counts = [int(x) if x < n else n for x in xs]
+    flats = [(prop, j) for j, (u, mu, w, prop) in enumerate(terms) if mu == w == 0.0]
+    if flats:
+        counts[min(flats)[1]] = max(0, n - sum(counts))
+    return take_cheapest(n, terms, counts, stats)
 
 
 def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
@@ -303,20 +332,7 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, 
     if m == 2:
         return _solve_two(n, paths, stats)
 
-    # Newton steps on the share total S(level) from the level where the
-    # cheapest path alone takes all n.  S is increasing and convex, so they
-    # fall towards the root from its right.  S - n >= 0.5 leaves a share above
-    # 1.5/m, whose slope term is positive (or NaN), so no step divides by
-    # zero; a step that does not lower the level (or is NaN) ends them.
-    level_terms = _level_terms(paths)
-    level = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
-    xs, slope = _shares(level, level_terms)
-    while (excess := sum(xs) - n) >= 0.5 and (nxt := level - excess / slope) < level:
-        level = nxt
-        xs, slope = _shares(level, level_terms)
-    counts = [int(min(x, n)) for x in xs]
-    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
-    return take_cheapest(n, terms, counts, stats)
+    return _select(n, [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths], stats)
 
 
 #: The bound already adds each path's in-flight count, so splitting an object

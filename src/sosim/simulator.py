@@ -34,7 +34,6 @@ KIND_SERVER_FREE = 1  # internal: a path finished serving one packet
 KIND_DELIVERED = 2    # packet_delivered (receiver side)
 KIND_ACK = 3          # ack_observed (sender side)
 
-SCHEDULERS = ("sos", "sos_fec", "edf", "sedpf")
 MODES = ("oracle", "estimated")
 
 
@@ -132,17 +131,17 @@ class SedpfPolicy:
         return Plan(tuple(order.count(j) for j in range(len(params))), n, order=order)
 
 
+_POLICIES = {"sos": SosPolicy, "sos_fec": SosFecPolicy, "edf": EdfPolicy, "sedpf": SedpfPolicy}
+SCHEDULERS = tuple(_POLICIES)
+
+
 def make_policy(name: str, config: SimConfig | None = None):
-    gamma = config.gamma if config is not None else fec_mod.DEFAULT_GAMMA
-    if name == "sos":
-        return SosPolicy()
-    if name == "sos_fec":
-        return SosFecPolicy(gamma)
-    if name == "edf":
-        return EdfPolicy()
-    if name == "sedpf":
-        return SedpfPolicy()
-    raise ConfigError(f"unknown scheduler {name!r}")
+    cls = _POLICIES.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown scheduler {name!r}")
+    if cls is SosFecPolicy:
+        return cls(config.gamma if config is not None else fec_mod.DEFAULT_GAMMA)
+    return cls()
 
 
 def dispatch_order(counts, params) -> tuple[int, ...]:
@@ -163,7 +162,6 @@ def dispatch_order(counts, params) -> tuple[int, ...]:
 # the key enters one, so a hit returns what a miss would build.  Cleared when full.
 _DECISIONS: dict = {}
 _DECISION_LIMIT = 4096
-_SHARED_POLICIES = (SosPolicy, SosFecPolicy, EdfPolicy, SedpfPolicy)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ class Simulation:
         """(plan, packet order) for n packets behind the current backlogs."""
         in_flight = tuple(lane.u for lane in self.lanes)
         key = None
-        if self.feed.windows is None and type(policy) in _SHARED_POLICIES:
+        if self.feed.windows is None and type(policy) in _POLICIES.values():
             key = (type(policy), getattr(policy, "gamma", None), self.feed.known, n, in_flight)
             decision = _DECISIONS.get(key)
             if decision is not None:

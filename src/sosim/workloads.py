@@ -184,13 +184,15 @@ def load_page_spec(path) -> list[ObjectSpec]:
         if len(parts) != 6:
             raise ParseError(path, line_no, "expected 6 columns "
                              "'id,size_packets,dom,connection_id,chunked,trigger'")
+        if parts[4] not in ("0", "1"):
+            raise ParseError(path, line_no, f"chunked must be 0 or 1, got {parts[4]!r}")
         try:
             spec = ObjectSpec(
                 id=parts[0],
                 size_packets=int(parts[1]),
                 priority=int(parts[2]),
                 connection_id=parts[3],
-                chunked=bool(int(parts[4])),
+                chunked=parts[4] == "1",
                 trigger=Trigger.parse(parts[5]),
             )
         except (ValueError, ValidationError) as exc:

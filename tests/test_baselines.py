@@ -249,6 +249,11 @@ def edf_states(draw):
 @example(state([0] * 16, [1.0] * 16), 1000)
 @example(state([60, 0], [0.0, 0.0], None, [1.0, 1.0]), 1000)
 @example(state([5, 0, 2], [2.0, 3.0, 4.0], None, [0.0, 5.0, 2.0]), 0)
+@example(state([0, 3, 1], [5e-324, 2.0, 1.0], None, [7.0, 0.0, 1.0]), 40)  # subnormal mean
+@example(state([2, 0, 5], [1e-300, 3.0, 0.5], None, [4.0, 0.0, 1.0]), 30)
+# a flat path 0 beside items below its prop: the rightmost minimizer of the
+# two-path bound would send all ten packets to path 0
+@example(state([0, 0], [0.0, 0.3], None, [1.0, 0.0]), 10)
 def test_edf_plan_matches_per_packet_reference_at_benchmark_sizes(s, n):
     assert edf_plan(s, n) == ref_edf_plan(s, n)
 

@@ -110,10 +110,12 @@ def test_chunk_unit_id_may_not_collide(tmp_path):
 
 def test_malformed_line_has_number(tmp_path):
     f = tmp_path / "page.csv"
-    f.write_text("a,1,0,c0,0,t0\noops\n")
-    with pytest.raises(ParseError) as exc:
-        load_page_spec(f)
-    assert exc.value.line_no == 2
+    # the chunked column is 0 or 1, nothing else
+    for bad in ("oops", "b,4,1,c0,2,t0", "b,1,0,c0,7,t0", "b,1,0,c0,-1,t0", "b,1,0,c0,x,t0"):
+        f.write_text(f"a,1,0,c0,0,t0\n{bad}\n")
+        with pytest.raises(ParseError) as exc:
+            load_page_spec(f)
+        assert exc.value.line_no == 2
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-5"])
