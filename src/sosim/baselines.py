@@ -7,8 +7,8 @@ delay, in-flight backlog) and the per-path delay stddevs.
 
 EDF sends each packet to the path with the earliest expected delivery,
 (in_flight + 1) * mean + propagation; it is the optimal greedy rule when
-delays are fixed and known.  It returns per-path counts, picked as SOS's
-at m >= 3 from the same Newton level, which the engine sends in
+delays are fixed and known.  It returns per-path counts, picked by SOS's
+selection from the same Newton level, which the engine sends in
 `dispatch_order`; SEDPF returns the path of every packet.
 
 SEDPF models each path's delivery time of the packet-plus-backlog as a
@@ -37,7 +37,7 @@ def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
 
     Packet x on path j is expected at (in_flight_j + x) * mu_j + prop_j, the
     item b_j(x) with w = 0, so the counts are the n cheapest items, picked as
-    SOS picks its split at m >= 3.  EDF reads neither `stddevs` nor w.
+    SOS picks its split.  EDF reads neither `stddevs` nor w.
     """
     return _select(n, [(p.in_flight, p.mu_ms, 0.0, p.prop_ms) for p in params])
 

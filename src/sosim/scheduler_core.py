@@ -19,10 +19,10 @@ is Hoeffding's form for delays that truly lie in [a, b].
 The solvers choose integer splits by d_upper.  Path j's bound with x new
 packets, b_j(x) = t_upper_j(x) + prop_j, does not decrease in x, so the
 integer optimum takes the n smallest items b_j(x), x >= 1 (any split's bound
-is at least its largest item and every b_j(0)).  Two paths find them by a
-bisection on the first count; more paths start from the floors of the shares
-at a water level (the fractional relaxation's, a Wardrop split) that a few
-Newton steps approach from above, as do EDF's counts (w = 0) at every m.
+is at least its largest item and every b_j(0)).  One selection finds them
+at every m: it starts from the floors of the shares at a water level (the
+fractional relaxation's, a Wardrop split) that a few Newton steps approach
+from above, and EDF's counts (w = 0) take the same route.
 :func:`solve_relaxed` bisects that level to a relative width of 1e-12.
 """
 
@@ -279,59 +279,15 @@ def _select(n: int, terms, stats: SolveStats | None = None) -> tuple[int, ...]:
     return take_cheapest(n, terms, counts, stats)
 
 
-def _solve_two(n: int, paths, stats: SolveStats | None) -> tuple[int, int]:
-    """:func:`take_cheapest` for two paths, by bisection on the first count k.
-
-    The first path's bound rises with k and the second's falls, so their max
-    is unimodal in k; the rightmost minimizer takes the same items, using at
-    most two bound evaluations per halving step.
-    """
-    (u0, mu0, w0, prop0), (u1, mu1, w1, prop1) = [
-        (p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths
-    ]
-    cache: dict[int, float] = {}
-
-    def bound(k: int) -> float:
-        v = cache.get(k)
-        if v is None:
-            # max(t_upper + prop) of both paths, in t_upper's float operations
-            k0, k1 = k + u0, n - k + u1
-            v = k0 * mu0 + math.sqrt(k0) * w0 + prop0
-            v1 = k1 * mu1 + math.sqrt(k1) * w1 + prop1
-            if v1 > v:
-                v = v1
-            cache[k] = v
-            if stats is not None:
-                stats.d_upper_evals += 1
-        return v
-
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bound(mid) < bound(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, n - lo
-
-
 def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:
     """Per-path packet counts (summing to n) chosen by the object delay bound.
 
     The split is the n smallest bound increments in (b, j, x) order, an
     integer optimum of the bound; ties give more packets to lower-index paths.
-    At m >= 3 it starts from the share floors at a water level that Newton
-    steps approach from above; the start sets only the work, not the split.
+    It starts from the share floors at a water level that Newton steps
+    approach from above; the start sets only the work, not the split.
     """
     paths = _check_paths(n, paths)
-    m = len(paths)
-    if n == 0:
-        return (0,) * m
-    if m == 1:
-        return (n,)
-    if m == 2:
-        return _solve_two(n, paths, stats)
-
     return _select(n, [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths], stats)
 
 

@@ -159,9 +159,12 @@ def dispatch_order(counts, params) -> tuple[int, ...]:
 
 
 # Oracle decisions of the built-in policies, shared across runs: nothing but
-# the key enters one, so a hit returns what a miss would build.  Cleared when full.
+# the key enters one, so a hit returns what a miss would build.  Cleared when
+# full; a decision whose packet order is longer than the cap is not kept, so
+# the table's bytes are bounded as well as its entries.
 _DECISIONS: dict = {}
 _DECISION_LIMIT = 4096
+_SHARED_ORDER_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ class Simulation:
         params, stddevs = self.feed.snapshot(in_flight)
         plan = policy.plan(n, params, stddevs)
         order = plan.order if plan.order is not None else dispatch_order(plan.counts, params)
-        if key is not None:
+        if key is not None and len(order) <= _SHARED_ORDER_CAP:
             if len(_DECISIONS) >= _DECISION_LIMIT:
                 _DECISIONS.clear()
             _DECISIONS[key] = plan, order

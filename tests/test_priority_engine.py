@@ -443,6 +443,15 @@ def test_shared_decisions_stay_within_the_limit(monkeypatch):
     assert sizes.count(1) > 1  # the dict filled up and was cleared
 
 
+def test_shared_decisions_keep_no_long_order(monkeypatch):
+    # Each kept decision holds its packet order, so the table's bytes grow
+    # with the sizes it keeps; only orders within the cap are shared.
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    run_transfer([*range(5000, 5200), 12], "sos", sources(det(5.0), det(7.0)))
+    assert [len(order) for _, order in simulator._DECISIONS.values()] == [12]
+    assert 12 <= simulator._SHARED_ORDER_CAP < 5000
+
+
 def test_a_repeated_oracle_page_reuses_every_decision(monkeypatch):
     solves = []
     solve = simulator.split_object

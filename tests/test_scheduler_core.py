@@ -394,7 +394,8 @@ def two_path_inputs(draw):
 @example((1000, [PathParams(2.0, 3.0, 0.0, 60), PathParams(2.0, 3.0, 0.0, 60)]))
 @example((7, [PathParams(1.0, 0.0, 5.0), PathParams(1.0, 0.0)]))
 def test_two_path_bisection_is_the_selection(case):
-    # _solve_two is the m = 2 fast path of take_cheapest
+    # at m = 2 the split is the exact selection: the items take_cheapest
+    # picks from an empty start
     n, paths = case
     terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
     assert solve_integer(n, paths) == take_cheapest(n, terms, [0, 0])
@@ -411,6 +412,9 @@ def test_two_path_bisection_is_the_selection(case):
      (0, 0, 1)),
     # the first Newton step is below half an ulp of the level, so it stops there
     (567, [PathParams(2e-18, 0.0, 10.0), PathParams(2.0, 2.0), PathParams(3.0, 0.0)], (561, 3, 3)),
+    # m = 2: path 1's items 4, 6.83 and 9.46 lie below path 0's, all about 10
+    (567, [PathParams(2e-18, 0.0, 10.0), PathParams(2.0, 2.0)], (564, 3)),
+    (1000, [PathParams(5e-324, 1.0), PathParams(2.0, 3.0)], (990, 10)),
 ])
 def test_integer_extreme_parameters(n, paths, counts):
     assert solve_integer(n, paths) == counts
