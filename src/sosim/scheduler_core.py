@@ -23,7 +23,8 @@ is at least its largest item and every b_j(0)).  One selection finds them
 at every m: it starts from the floors of the shares at a water level (the
 fractional relaxation's, a Wardrop split) that a few Newton steps approach
 from above, and EDF's counts (w = 0) take the same route.
-:func:`solve_relaxed` bisects that level to a relative width of 1e-12.
+:func:`solve_relaxed` returns the shares at that level, with the Newton
+steps run until the level stops falling.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 from .errors import ValidationError
-
-#: Relative width at which the water-level bisection stops.
-LEVEL_TOLERANCE = 1e-12
-#: Relative mismatch between allocated mass and n accepted by the relaxed solver.
-MASS_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,8 @@ def d_upper(counts, paths) -> float:
     return max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
 
 
-def _check_paths(n: int, paths) -> list[PathParams]:
+def _terms(n: int, paths) -> list[tuple]:
+    """Check n and the paths, and return the paths' `(u, mu, w, prop)` terms."""
     paths = list(paths)
     if not paths:
         raise ValidationError("need at least one path")
@@ -145,7 +142,7 @@ def _check_paths(n: int, paths) -> list[PathParams]:
         )
     if n < 0:
         raise ValidationError("object size must be nonnegative")
-    return paths
+    return [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
 
 
 def _shares(level: float, terms) -> tuple[list[float], float]:
@@ -153,17 +150,17 @@ def _shares(level: float, terms) -> tuple[list[float], float]:
     and the sum of dx/dlevel over the paths whose x is positive."""
     xs = []
     slope = 0.0
-    for prop, w, u, w2, mu4, mu2 in terms:
+    for u, mu, w, prop in terms:
         budget = level - prop
         if budget <= 0:
             xs.append(0.0)
             continue
         # s = sqrt(x + u) solves mu*s^2 + w*s = budget; ds/dbudget = 1/r, r = 2*mu*s + w
-        if mu2 == 0.0:
+        if mu == 0.0:
             r, s = w, budget / w
         else:
-            r = sqrt(w2 + mu4 * budget)
-            s = (r - w) / mu2
+            r = sqrt(w * w + 4.0 * mu * budget)
+            s = (r - w) / (2.0 * mu)
         x = s * s - u
         if x > 0.0:  # also refuses -0.0 and NaN
             slope += 2.0 * s / r
@@ -173,38 +170,38 @@ def _shares(level: float, terms) -> tuple[list[float], float]:
     return xs, slope
 
 
-def _level_terms(terms) -> list[tuple]:
-    return [(prop, w, u, w * w, 4.0 * mu, 2.0 * mu) for u, mu, w, prop in terms]
+def _level_shares(n: int, terms, slack: float) -> list[float]:
+    """The shares at the water level where their total S reaches n, from
+    Newton steps on S that stop once S - n < slack.
+
+    They start at min_j b_j(n), where S >= n; S is increasing and convex, so
+    they fall towards the root from its right.  While they run, S > 0 (the
+    callers pass n >= 1 or a positive slack), so some share is positive and
+    its slope term is positive (or NaN): no step divides by zero.  A step
+    that does not lower the level (or is NaN) ends them.  A flat path
+    (mu = w = 0) keeps a zero share, as the level never passes its prop.
+    """
+    level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
+    xs, slope = _shares(level, terms)
+    while (excess := sum(xs) - n) >= slack and (nxt := level - excess / slope) < level:
+        level = nxt
+        xs, slope = _shares(level, terms)
+    return xs
 
 
 def solve_relaxed(n: int, paths) -> list[float]:
     """Fractional split minimizing the object delay bound.
 
-    Bisects on the equalized delay level: at level L every path receives the
-    largest allocation whose bound stays below L (zero if its propagation plus
-    backlog alone exceeds L), and the level is tuned until allocations sum to
-    n.  All paths with positive allocation share the same bound, so no packet
-    reassignment can lower the max.
+    At level L every path receives the largest allocation whose bound stays
+    below L (zero if its propagation plus backlog alone exceeds L); Newton
+    steps lower L until the level stops falling, and the allocations are
+    scaled to sum to n.  All paths with positive allocation share the same
+    bound, so no packet reassignment can lower the max.
     """
-    paths = _check_paths(n, paths)
+    terms = _terms(n, paths)
     if n == 0:
-        return [0.0] * len(paths)
-    terms = _level_terms([(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths])
-    # At level lo nothing fits anywhere; at level hi the cheapest path alone
-    # already absorbs all n packets, so the target level lies in between.
-    lo = min(t_upper(0, p.in_flight, p) + p.prop_ms for p in paths)
-    hi = min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths)
-    while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        total = sum(_shares(mid, terms)[0])
-        if abs(total - n) <= MASS_TOLERANCE * n:
-            lo = hi = mid
-            break
-        if total < n:
-            lo = mid
-        else:
-            hi = mid
-    xs = _shares(0.5 * (lo + hi), terms)[0]
+        return [0.0] * len(terms)
+    xs = _level_shares(n, terms, 0.0)
     mass = sum(xs)
     return [x * (n / mass) for x in xs] if mass > 0.0 else xs
 
@@ -256,22 +253,12 @@ def take_cheapest(
 
 def _select(n: int, terms, stats: SolveStats | None = None) -> tuple[int, ...]:
     """:func:`take_cheapest` on `(u, mu, w, prop)` terms, started from the
-    share floors at a level that Newton steps on the share total S approach.
+    share floors at the water level, once S - n < 0.5.
 
-    They start at min_j b_j(n), where S >= n; S is increasing and convex, so
-    they fall towards the root from its right.  S - n >= 0.5 leaves a share
-    above 1.5/m, whose slope term is positive (or NaN), so no step divides by
-    zero; a step that does not lower the level (or is NaN) ends them.  A flat
-    path (mu = w = 0) keeps a zero share, as the level never passes its prop;
-    the first one by (prop, j) takes what the floors leave, which spares the
-    selection adding them one at a time.
+    The first flat path (mu = w = 0) by (prop, j) takes what the floors
+    leave, which spares the selection adding them one at a time.
     """
-    level_terms = _level_terms(terms)
-    level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
-    xs, slope = _shares(level, level_terms)
-    while (excess := sum(xs) - n) >= 0.5 and (nxt := level - excess / slope) < level:
-        level = nxt
-        xs, slope = _shares(level, level_terms)
+    xs = _level_shares(n, terms, 0.5)
     counts = [int(x) if x < n else n for x in xs]
     flats = [(prop, j) for j, (u, mu, w, prop) in enumerate(terms) if mu == w == 0.0]
     if flats:
@@ -287,8 +274,7 @@ def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, 
     It starts from the share floors at a water level that Newton steps
     approach from above; the start sets only the work, not the split.
     """
-    paths = _check_paths(n, paths)
-    return _select(n, [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths], stats)
+    return _select(n, _terms(n, paths), stats)
 
 
 #: The bound already adds each path's in-flight count, so splitting an object

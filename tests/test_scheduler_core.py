@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from hypothesis import strategies as st
 
 from sosim.errors import ValidationError
 from sosim.scheduler_core import (
-    LEVEL_TOLERANCE,
-    MASS_TOLERANCE,
     PathParams,
     SolveStats,
     compute_w,
@@ -208,8 +205,14 @@ def test_relaxed_wardrop_equalization_random():
         assert max(bounds) - min(bounds) <= 1e-6 * level
 
 
+#: The reference bisection stops at this relative level width, or once the
+#: allocated mass is within this relative mismatch of n.
+REF_LEVEL_TOLERANCE = 1e-12
+REF_MASS_TOLERANCE = 1e-9
+
+
 def ref_solve_relaxed(n, paths):
-    """The water-level bisection with one inverse-bound call per path."""
+    """A water-level bisection with one inverse-bound call per path."""
 
     def bound_at(x, p):
         k = x + p.in_flight
@@ -229,10 +232,10 @@ def ref_solve_relaxed(n, paths):
         return [0.0] * len(paths)
     lo = min(bound_at(0.0, p) for p in paths)
     hi = min(bound_at(float(n), p) for p in paths)
-    while hi - lo > LEVEL_TOLERANCE * max(1.0, hi):
+    while hi - lo > REF_LEVEL_TOLERANCE * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         total = sum(invert_bound(mid, p) for p in paths)
-        if abs(total - n) <= MASS_TOLERANCE * n:
+        if abs(total - n) <= REF_MASS_TOLERANCE * n:
             lo = hi = mid
             break
         if total < n:
@@ -266,10 +269,23 @@ def relaxed_inputs(draw):
 @example((7, [PathParams(0.0, 2.0), PathParams(0.0, 3.0, 1.0, 4)]))
 @example((5, [PathParams(1.0, 0.0), PathParams(2.0, 1.0, 1e5, 3), PathParams(0.0, 1.0, 1e5)]))
 @example((1000, [PathParams(2.0, 3.0, 0.0, 60)] * 16))
-def test_relaxed_matches_per_path_inverse_bit_for_bit(case):
+@example((11, [PathParams(0.0, 1e-3, 12652.0), PathParams(0.0, 1e-3, 12652.0, 5)]))
+def test_relaxed_matches_per_path_inverse_bisection(case):
+    # the shares sum to n, every path with a positive share ends at one bound
+    # (criterion 02's 1e-6 relative spread), and each share is the reference's
+    # within 1e-6 * n plus what the reference's level bracket leaves open: a
+    # level known to a width dL fixes the shares only to about S'(L) * dL,
+    # which matters where a path's prop dwarfs its budget
     n, paths = case
-    bits = [struct.pack("<d", x) for x in solve_relaxed(n, paths)]
-    assert bits == [struct.pack("<d", x) for x in ref_solve_relaxed(n, paths)]
+    xs = solve_relaxed(n, paths)
+    assert abs(sum(xs) - n) <= 1e-12 * n
+    used = [(x, p, math.sqrt(x + p.in_flight)) for x, p in zip(xs, paths) if x > 0]
+    bounds = [(x + p.in_flight) * p.mu_ms + s * p.w + p.prop_ms for x, p, s in used]
+    level = max(bounds, default=0.0)
+    assert level - min(bounds, default=0.0) <= 1e-6 * level
+    slope = sum(2.0 * s / (2.0 * p.mu_ms * s + p.w) for x, p, s in used)
+    tol = 1e-6 * n + 2.0 * slope * REF_LEVEL_TOLERANCE * max(1.0, level)
+    assert max(abs(x - y) for x, y in zip(xs, ref_solve_relaxed(n, paths))) <= tol
 
 
 # -- integer solver ----------------------------------------------------------
@@ -393,7 +409,7 @@ def two_path_inputs(draw):
 @given(two_path_inputs())
 @example((1000, [PathParams(2.0, 3.0, 0.0, 60), PathParams(2.0, 3.0, 0.0, 60)]))
 @example((7, [PathParams(1.0, 0.0, 5.0), PathParams(1.0, 0.0)]))
-def test_two_path_bisection_is_the_selection(case):
+def test_two_path_split_is_the_selection(case):
     # at m = 2 the split is the exact selection: the items take_cheapest
     # picks from an empty start
     n, paths = case
