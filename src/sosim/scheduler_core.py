@@ -22,16 +22,18 @@ integer optimum takes the n smallest items b_j(x), x >= 1 (any split's bound
 is at least its largest item and every b_j(0)).  One selection finds them
 at every m: it starts from the floors of the shares at a water level (the
 fractional relaxation's, a Wardrop split) that a few Newton steps approach
-from above, and EDF's counts (w = 0) take the same route.
-:func:`solve_relaxed` returns the shares at that level, with the Newton
-steps run until the level stops falling.
+from above, and EDF's counts (w = 0) take the same route.  Every path's
+share comes from one root of its bound, s = 2*budget/(w + r), which has no
+difference to cancel, so a tiny mean still counts; the steps keep the share
+total at n - 1/2 or more.  :func:`solve_relaxed` returns the shares at that
+level, with the Newton steps run until the level stops falling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import sqrt
+from math import hypot, nextafter, sqrt
 
 from .errors import ValidationError
 
@@ -147,7 +149,13 @@ def _terms(n: int, paths) -> list[tuple]:
 
 def _shares(level: float, terms) -> tuple[list[float], float]:
     """Per path, the largest continuous x >= 0 with t_upper(x) + prop <= level,
-    and the sum of dx/dlevel over the paths whose x is positive."""
+    and the sum of dx/dlevel over the paths whose x is positive.
+
+    s = sqrt(x + u) solves mu*s^2 + w*s = budget.  Every path takes the root
+    s = 2*budget/(w + r), r = sqrt(w^2 + 4*mu*budget), which cancels nothing
+    (at mu = 0 it is budget/w bit for bit); `hypot` gives r where the sum
+    under the root would underflow or overflow, so r > 0 off flat paths.
+    """
     xs = []
     slope = 0.0
     for u, mu, w, prop in terms:
@@ -155,15 +163,14 @@ def _shares(level: float, terms) -> tuple[list[float], float]:
         if budget <= 0:
             xs.append(0.0)
             continue
-        # s = sqrt(x + u) solves mu*s^2 + w*s = budget; ds/dbudget = 1/r, r = 2*mu*s + w
-        if mu == 0.0:
-            r, s = w, budget / w
+        if 1e-290 < (q := w * w + 4.0 * mu * budget) < 1e290:
+            r = sqrt(q)
         else:
-            r = sqrt(w * w + 4.0 * mu * budget)
-            s = (r - w) / (2.0 * mu)
+            r = hypot(w, 2.0 * sqrt(mu) * sqrt(budget))
+        s = 2.0 * budget / (w + r)
         x = s * s - u
         if x > 0.0:  # also refuses -0.0 and NaN
-            slope += 2.0 * s / r
+            slope += 2.0 * s / r  # ds/dbudget = 1/r
         else:
             x = 0.0
         xs.append(x)
@@ -174,18 +181,36 @@ def _level_shares(n: int, terms, slack: float) -> list[float]:
     """The shares at the water level where their total S reaches n, from
     Newton steps on S that stop once S - n < slack.
 
-    They start at min_j b_j(n), where S >= n; S is increasing and convex, so
-    they fall towards the root from its right.  While they run, S > 0 (the
-    callers pass n >= 1 or a positive slack), so some share is positive and
-    its slope term is positive (or NaN): no step divides by zero.  A step
-    that does not lower the level (or is NaN) ends them.  A flat path
-    (mu = w = 0) keeps a zero share, as the level never passes its prop.
+    They start at min_j b_j(n), raised one float at a time while S < n - 1/2
+    but never past the prop of a flat path (mu = w = 0), whose share is
+    unbounded above it.  S is increasing and convex, so they fall towards
+    the root from its right.  While they run, S >= n + slack > 0, so some
+    slope term is positive (or NaN): no step divides by zero.  A step that
+    does not lower the level (or is NaN) ends them, and so does one to
+    S < n - 1/2.  Where S still misses n by 1/2, a flat path, or one whose
+    items all round to about one value so that its share leapt past n
+    between adjacent levels, holds the rest: the first such path by
+    (prop, j) takes what the others leave.
     """
     level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
     xs, slope = _shares(level, terms)
-    while (excess := sum(xs) - n) >= slack and (nxt := level - excess / slope) < level:
-        level = nxt
-        xs, slope = _shares(level, terms)
+    if (total := sum(xs)) < n - 0.5:
+        cap = min([prop for u, mu, w, prop in terms if mu == w == 0.0], default=math.inf)
+        while total < n - 0.5 and level < cap:
+            level = nextafter(level, cap)
+            xs, slope = _shares(level, terms)
+            total = sum(xs)
+    while (excess := total - n) >= slack and (nxt := level - excess / slope) < level:
+        nxs, nslope = _shares(nxt, terms)
+        if (ntotal := sum(nxs)) < n - 0.5:
+            break
+        level, xs, slope, total = nxt, nxs, nslope, ntotal
+    if not -0.5 < total - n < 0.5:
+        full = [j for j, (t, x) in enumerate(zip(terms, xs)) if x >= n or t[1] == t[2] == 0.0]
+        for j in full:  # a share that large would swamp the others' sum
+            xs[j] = 0.0
+        if full:
+            xs[min(full, key=lambda j: terms[j][3])] = max(0.0, n - sum(xs))
     return xs
 
 
@@ -203,7 +228,7 @@ def solve_relaxed(n: int, paths) -> list[float]:
         return [0.0] * len(terms)
     xs = _level_shares(n, terms, 0.0)
     mass = sum(xs)
-    return [x * (n / mass) for x in xs] if mass > 0.0 else xs
+    return [x * (n / mass) for x in xs]
 
 
 def take_cheapest(
@@ -253,17 +278,9 @@ def take_cheapest(
 
 def _select(n: int, terms, stats: SolveStats | None = None) -> tuple[int, ...]:
     """:func:`take_cheapest` on `(u, mu, w, prop)` terms, started from the
-    share floors at the water level, once S - n < 0.5.
-
-    The first flat path (mu = w = 0) by (prop, j) takes what the floors
-    leave, which spares the selection adding them one at a time.
-    """
+    share floors at the water level, once S - n < 0.5."""
     xs = _level_shares(n, terms, 0.5)
-    counts = [int(x) if x < n else n for x in xs]
-    flats = [(prop, j) for j, (u, mu, w, prop) in enumerate(terms) if mu == w == 0.0]
-    if flats:
-        counts[min(flats)[1]] = max(0, n - sum(counts))
-    return take_cheapest(n, terms, counts, stats)
+    return take_cheapest(n, terms, [int(x) if x < n else n for x in xs], stats)
 
 
 def solve_integer(n: int, paths, stats: SolveStats | None = None) -> tuple[int, ...]:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sosim.baselines import edf_assign
 from sosim.errors import ValidationError
 from sosim.scheduler_core import (
     PathParams,
@@ -27,6 +29,17 @@ from sosim.scheduler_core import (
 
 def flat_path(mu, w=0.0, prop=0.0, u=0):
     return PathParams(mu_ms=mu, w=w, prop_ms=prop, in_flight=u)
+
+
+#: Means and weights so small that mu*budget or w^2 underflows.
+TINY = st.sampled_from([5e-324, 1e-300, 1e-160])
+
+#: Bound items the selection evaluates beyond three per path when it starts
+#: from the water level.  Two per path are each path's next item and the
+#: last item of each path it starts with; the floors drop less than one item
+#: per path.  None of 50,000 drawn `many_path_inputs` took any more than
+#: that (at most 7 beyond two per path in 80,000 more); 4 is a margin.
+NEWTON_START_MOVES = 4
 
 
 def brute_force_two(n, paths):
@@ -222,18 +235,19 @@ def ref_solve_relaxed(n, paths):
         budget = level - p.prop_ms
         if budget <= 0:
             return 0.0
-        if p.mu_ms == 0.0:
-            s = budget / p.w
-        else:
-            s = (-p.w + math.sqrt(p.w * p.w + 4.0 * p.mu_ms * budget)) / (2.0 * p.mu_ms)
+        # the root of mu*s^2 + w*s = budget that cancels nothing, with hypot
+        # scaling away any underflow
+        s = 2.0 * budget / (p.w + math.hypot(p.w, 2.0 * math.sqrt(p.mu_ms) * math.sqrt(budget)))
         return max(0.0, s * s - p.in_flight)
 
     if n == 0:
         return [0.0] * len(paths)
     lo = min(bound_at(0.0, p) for p in paths)
     hi = min(bound_at(float(n), p) for p in paths)
-    while hi - lo > REF_LEVEL_TOLERANCE * max(1.0, hi):
+    while hi - lo > REF_LEVEL_TOLERANCE * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # hi and lo are adjacent floats
+            break
         total = sum(invert_bound(mid, p) for p in paths)
         if abs(total - n) <= REF_MASS_TOLERANCE * n:
             lo = hi = mid
@@ -253,12 +267,15 @@ def ref_solve_relaxed(n, paths):
 @st.composite
 def relaxed_inputs(draw):
     """Up to 16 paths: some with mu = 0 (w > 0), some with integer-valued
-    parameters, backlogs, and propagation delays far above the level."""
+    parameters, some with a TINY mu or w, backlogs, and propagation delays
+    far above the level."""
     m = draw(st.integers(1, 16))
     paths = []
     for _ in range(m):
-        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.integers(1, 5).map(float)))
-        w = draw(st.floats(1e-3, 60.0) if mu == 0.0 else st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.integers(1, 5).map(float), TINY))
+        w = draw(st.one_of(
+            st.floats(1e-3, 60.0), TINY, *([] if mu == 0.0 else [st.just(0.0), st.floats(0.0, 60.0)])
+        ))
         prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e3, 1e6)))
         paths.append(PathParams(mu, w, prop, draw(st.integers(0, 60))))
     return draw(st.one_of(st.integers(0, 40), st.integers(41, 1000))), paths
@@ -275,16 +292,21 @@ def test_relaxed_matches_per_path_inverse_bisection(case):
     # (criterion 02's 1e-6 relative spread), and each share is the reference's
     # within 1e-6 * n plus what the reference's level bracket leaves open: a
     # level known to a width dL fixes the shares only to about S'(L) * dL,
-    # which matters where a path's prop dwarfs its budget
+    # which matters where a path's prop dwarfs its budget.  Floats below the
+    # smallest normal one hold too few bits for 1e-6, so a share that small
+    # is not checked, and a level that small only sums to n
     n, paths = case
     xs = solve_relaxed(n, paths)
     assert abs(sum(xs) - n) <= 1e-12 * n
-    used = [(x, p, math.sqrt(x + p.in_flight)) for x, p in zip(xs, paths) if x > 0]
+    assert min(xs, default=0.0) >= 0.0
+    used = [(x, p, math.sqrt(x + p.in_flight)) for x, p in zip(xs, paths) if x >= sys.float_info.min]
     bounds = [(x + p.in_flight) * p.mu_ms + s * p.w + p.prop_ms for x, p, s in used]
     level = max(bounds, default=0.0)
-    assert level - min(bounds, default=0.0) <= 1e-6 * level
+    if level < sys.float_info.min:
+        return
+    assert level - min(bounds) <= 1e-6 * level
     slope = sum(2.0 * s / (2.0 * p.mu_ms * s + p.w) for x, p, s in used)
-    tol = 1e-6 * n + 2.0 * slope * REF_LEVEL_TOLERANCE * max(1.0, level)
+    tol = 1e-6 * n + 2.0 * slope * REF_LEVEL_TOLERANCE * level
     assert max(abs(x - y) for x, y in zip(xs, ref_solve_relaxed(n, paths))) <= tol
 
 
@@ -418,33 +440,83 @@ def test_two_path_split_is_the_selection(case):
 
 
 @pytest.mark.parametrize("n, paths, counts", [
-    # mu = 5e-324 path: its share rounds to 0 at every level below ~1e307
+    # mu = 5e-324 path: sqrt(w^2 + 4*mu*budget) == w at every level below
+    # ~1e307, so a share that subtracted w from r was 0
     (1000, [PathParams(5e-324, 1.0), PathParams(2.0, 3.0), PathParams(3.0, 0.0)], (980, 10, 10)),
-    # 4*mu*budget underflows at the start level, so no share is positive there
+    # 4*mu*budget underflows at the start level, so a share that subtracted
+    # w from r was 0 there, and the selection added 10**6 items
     (10**6, [PathParams(1e-300, 0.0), PathParams(2.0, 3.0), PathParams(0.0, 4.0, 7.0)],
      (1000000, 0, 0)),
     (50, [PathParams(0.0, 5e-324), PathParams(2.0, 3.0), PathParams(1.0, 1.0, 4.0)], (50, 0, 0)),
     (1, [PathParams(3.0, 2.0, 0.0, 40), PathParams(2.0, 3.0, 500.0), PathParams(9.0, 0.0)],
      (0, 0, 1)),
-    # the first Newton step is below half an ulp of the level, so it stops there
+    # the first Newton step is below half an ulp of the level, so it stops
+    # there, and path 0 takes what the others leave
     (567, [PathParams(2e-18, 0.0, 10.0), PathParams(2.0, 2.0), PathParams(3.0, 0.0)], (561, 3, 3)),
     # m = 2: path 1's items 4, 6.83 and 9.46 lie below path 0's, all about 10
     (567, [PathParams(2e-18, 0.0, 10.0), PathParams(2.0, 2.0)], (564, 3)),
     (1000, [PathParams(5e-324, 1.0), PathParams(2.0, 3.0)], (990, 10)),
+    (10**6, [PathParams(1e-300, 0.0), PathParams(2.0, 3.0)], (1000000, 0)),
+    # 4*mu*budget overflows, so r comes from hypot
+    (3, [PathParams(1e300, 0.0), PathParams(2e300, 0.0)], (2, 1)),
 ])
 def test_integer_extreme_parameters(n, paths, counts):
-    assert solve_integer(n, paths) == counts
+    stats = SolveStats()
+    assert solve_integer(n, paths, stats) == counts
+    assert stats.d_upper_evals <= 3 * len(paths) + NEWTON_START_MOVES
+
+
+def test_relaxed_counts_a_mean_whose_product_with_the_budget_underflows():
+    # 4*mu*budget underflows at every level near 10, so a root that subtracts
+    # w from r gave [0.0, 0.0]
+    assert solve_relaxed(10, [PathParams(1e-300, 0.0), PathParams(2.0, 3.0)]) == pytest.approx(
+        [10.0, 0.0], abs=1e-12
+    )
+
+
+def test_relaxed_splits_means_whose_root_overflows():
+    # w^2 + 4*mu*budget overflows to inf, which gave [nan, nan]
+    assert solve_relaxed(3, [PathParams(1e300, 0.0), PathParams(2e300, 0.0)]) == pytest.approx(
+        [2.0, 1.0], rel=1e-12
+    )
+
+
+def test_relaxed_counts_a_mean_below_the_weights_last_bit():
+    # sqrt(w^2 + 4*mu*budget) == w, so a root that subtracts w from r gave
+    # path 0 nothing: [0.0, 10.0]
+    paths = [PathParams(5e-324, 1.0), PathParams(2.0, 3.0)]
+    xs = solve_relaxed(10, paths)
+    assert xs == pytest.approx([9.509, 0.491], abs=1e-3)
+    assert sum(xs) == pytest.approx(10.0, rel=1e-12)
+    bounds = [x * p.mu_ms + math.sqrt(x) * p.w for x, p in zip(xs, paths)]  # both shares > 0
+    assert max(bounds) - min(bounds) <= 1e-6 * max(bounds)  # criterion 02's spread
+
+
+@pytest.mark.parametrize("mu", [1e-300, 5e-324])
+def test_edf_with_a_tiny_mean_starts_at_the_answer(mu):
+    # prop + n*mu rounds to prop, so that path's budget is 0 at the start
+    # level; the level rises one float and that path takes what the others
+    # leave.  EDF's items are solve_integer's on the same w = 0 paths
+    params = [PathParams(mu, 0.0, 7.0)] + [PathParams(2.0 + j, 0.0, 0.0, j) for j in range(15)]
+    want = (996, 3, 1) + (0,) * 13
+    assert edf_assign(params, None, 1000) == want
+    stats = SolveStats()
+    assert solve_integer(1000, params, stats) == want
+    assert stats.d_upper_evals <= 3 * len(params) + NEWTON_START_MOVES
 
 
 @st.composite
 def many_path_inputs(draw):
     """m = 3..16, n <= 2000, backlogs <= 60; some paths have mu = 0 (w > 0),
-    some w = 0, and some a propagation delay above every path's bound at n."""
+    some w = 0, some a TINY mu or w, and some a propagation delay above
+    every path's bound at n."""
     m = draw(st.integers(3, 16))
     paths = []
     for _ in range(m):
-        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0), st.integers(1, 5).map(float)))
-        w = draw(st.floats(1e-3, 60.0) if mu == 0.0 else st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+        mu = draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0), st.integers(1, 5).map(float), TINY))
+        w = draw(st.one_of(
+            st.floats(1e-3, 60.0), TINY, *([] if mu == 0.0 else [st.just(0.0), st.floats(0.0, 60.0)])
+        ))
         prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e5, 1e7)))
         paths.append(PathParams(mu, w, prop, draw(st.integers(0, 60))))
     return draw(st.integers(1, 2000)), paths
@@ -454,11 +526,19 @@ def many_path_inputs(draw):
 @given(many_path_inputs())
 @example((1000, [PathParams(2.0, 3.0, 0.0, 60)] * 16))
 @example((7, [PathParams(0.0, 2.0), PathParams(1.0, 0.0, 1e6), PathParams(3.0, 0.0, 0.0, 9)]))
+@example((32, [PathParams(1.0, 0.0)] * 16))  # 16 shares of 2 - 4e-16 floor to 1
 def test_newton_start_is_the_selection(case):
-    # the Newton level only starts take_cheapest, which is exact from any start
+    # the Newton level only starts take_cheapest, which is exact from any
+    # start; from the water level it moves a few items, however large n is.
+    # A level below the normal floats has too few bits to place the start
+    # (a TINY w makes the Newton slope overflow), so there only the split
+    # is checked
     n, paths = case
     terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
-    assert solve_integer(n, paths) == take_cheapest(n, terms, [0] * len(paths))
+    stats = SolveStats()
+    assert solve_integer(n, paths, stats) == take_cheapest(n, terms, [0] * len(paths))
+    if min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths) >= sys.float_info.min:
+        assert stats.d_upper_evals <= 3 * len(paths) + NEWTON_START_MOVES
 
 
 def test_integer_monotone_in_n():
