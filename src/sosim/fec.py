@@ -28,9 +28,6 @@ def solve_fec_split(n: int, paths, gamma: float = DEFAULT_GAMMA) -> Plan:
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     paths = list(paths)
     base = solve_integer(n, paths)
-    if gamma == 1.0 or all(p.w == 0.0 for p in paths):
-        return Plan(base, n, base_counts=base)
-
     totals = []
     for i, p in enumerate(paths):
         discounted = list(paths)

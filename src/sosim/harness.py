@@ -1,9 +1,12 @@
 """Experiment harness: configs, replicated runs, sweeps and CSV output.
 
-Fixed-size experiments use a vectorized replication runner that is
-behaviorally identical to the event engine under the one-object-at-a-time
-protocol (each object starts on idle paths, delay streams continue across
-objects); the equivalence is covered by tests.  Page experiments run the
+Fixed-size experiments loop over plan epochs, replications that share one
+plan and take each path's draws at once.  Estimated mode re-plans per object
+from the windows its draws extend, so its epochs are one object; oracle mode
+plans once, and an epoch draws at most _EPOCH_SAMPLES per path (one object's,
+if more), so memory stays O(n).  The runner matches the event engine under
+the one-object-at-a-time protocol (each object starts on idle paths, delay
+streams continue across objects), as tests check.  Page experiments run the
 priority engine.
 
 Seed splitting: path j of an experiment seeds its generator from
@@ -15,12 +18,13 @@ candidate's seed so both consume identical delay streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
-from .errors import ConfigError, ValidationError, require_count
+from .errors import ConfigError, ParseError, ValidationError, require_count
 from .estimation import nearest_rank
 from .fec import DEFAULT_GAMMA
 from .priority_engine import ORDERINGS, run_page
@@ -101,6 +105,9 @@ def improvement_pct(baseline_ms: float, candidate_ms: float) -> float:
     return (baseline_ms / candidate_ms - 1.0) * 100.0
 
 
+_EPOCH_SAMPLES = 1 << 16  # an oracle epoch's draws per path; see the module docstring
+
+
 def seeded_paths(config: ExperimentConfig) -> tuple[DelaySourceSpec, ...]:
     """Fill in derived seeds of gamma paths (SeedSequence([seed, path_index]))."""
     out = []
@@ -113,41 +120,41 @@ def seeded_paths(config: ExperimentConfig) -> tuple[DelaySourceSpec, ...]:
 
 
 def _delays_fixed_size(config: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """Completion delays for `replications` independent objects (vectorized)."""
+    """Completion delays for `replications` independent objects, by plan epoch."""
     specs = seeded_paths(config)
     sources = [make_source(s) for s in specs]
     sim_cfg = config.sim_config()
     policy = make_policy(config.scheduler, sim_cfg)
     n = config.object_size
     reps = config.replications
-    props = np.array([s.propagation_ms for s in specs])
+    props = [s.propagation_ms for s in specs]
 
     feed = ParamFeed(specs, sim_cfg)
     feed.warmup(sources)
 
     delays = np.empty(reps)
     sent_total = 0
-    plan = None
-    for r in range(reps):
-        if plan is None or config.mode == "estimated":
-            params, stddevs = feed.snapshot([0] * len(specs))
-            plan = policy.plan(n, params, stddevs)
-        draws = [src.take(c) for src, c in zip(sources, plan.counts)]
+    plan, r = None, 0
+    while r < reps:
+        if plan is None or feed.windows is not None:
+            plan = policy.plan(n, *feed.snapshot([0] * len(specs)))
+            rows = 1 if feed.windows is not None else max(1, _EPOCH_SAMPLES // max(plan.counts))
+        rows = min(rows, reps - r)
+        draws = [src.take(c * rows).reshape(rows, c) for src, c in zip(sources, plan.counts)]
         if plan.redundancy == 0:
             # every packet is needed: completion is the slowest used path's total
-            delays[r] = max(d.sum() + p for d, p in zip(draws, props) if len(d))
+            totals = (d.sum(axis=1) + p for d, p in zip(draws, props) if d.size)
+            delays[r : r + rows] = reduce(np.maximum, totals)
         else:
-            arrivals = np.concatenate(
-                [np.cumsum(d) + p for d, p in zip(draws, props) if len(d)]
-            )
-            delays[r] = np.partition(arrivals, plan.threshold - 1)[plan.threshold - 1]
-        sent_total += sum(plan.counts)
+            arrivals = np.concatenate([d.cumsum(axis=1) + p for d, p in zip(draws, props)], axis=1)
+            arrivals.partition(plan.threshold - 1, axis=1)
+            delays[r : r + rows] = arrivals[:, plan.threshold - 1]
+        sent_total += sum(plan.counts) * rows
         if feed.windows is not None:
             for win, d in zip(feed.windows, draws):
-                if len(d) > 1:
-                    win.extend(d[1:])  # first packet of each busy run has no gap
-    redundancy_fraction = (sent_total - n * reps) / (n * reps)
-    return delays, redundancy_fraction
+                win.extend(d[0, 1:])  # first packet of each busy run has no gap
+        r += rows
+    return delays, (sent_total - n * reps) / (n * reps)
 
 
 def _delays_page(config: ExperimentConfig) -> tuple[np.ndarray, float]:
@@ -333,20 +340,20 @@ def parse_config(path) -> ExperimentConfig:
             path_blocks.append(current)
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            raise ParseError(path, line_no, "expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         table = _PATH_KEYS if current is not None else _GLOBAL_KEYS
         if key not in table:
-            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            raise ParseError(path, line_no, f"unknown key {key!r}")
         if key in key_lines:
-            raise ConfigError(f"{path}:{line_no}: {key!r} is already set on line {key_lines[key]} "
-                              "of this section")
+            raise ParseError(path, line_no, f"{key!r} is already set on line {key_lines[key]} "
+                             "of this section")
         key_lines[key] = line_no
         try:
             parsed = table[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
+            raise ParseError(path, line_no, f"bad value for {key}: {exc}") from exc
         if key in _FILE_KEYS:
             parsed = str(path.parent / parsed)
         (current if current is not None else global_kv)[key] = parsed

@@ -137,11 +137,6 @@ def _terms(n: int, paths) -> list[tuple]:
     paths = list(paths)
     if not paths:
         raise ValidationError("need at least one path")
-    degenerate = [j for j, p in enumerate(paths) if p.mu_ms == 0.0 and p.w == 0.0]
-    if degenerate:
-        raise ValidationError(
-            f"paths {degenerate} have zero mean delay and zero variability"
-        )
     if n < 0:
         raise ValidationError("object size must be nonnegative")
     return [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]

@@ -31,6 +31,15 @@ def test_zero_variability_means_zero_redundancy():
         assert solve_fec_split(50, paths, gamma).redundancy == 0
 
 
+def test_discount_to_a_flat_path_is_solvable():
+    # gamma = 0 removes path 0's weight, its only term, so its re-solve is
+    # flat and keeps all 10; in path 1's (w = 0 there) its first item, 2,
+    # ties path 0's fourth and is taken
+    plan = solve_fec_split(10, [path(0.0, 1.0), path(2.0, 3.0)], 0.0)
+    assert plan.counts == (10, 1)
+    assert plan.base_counts == (10, 0)
+
+
 def test_gamma_out_of_range():
     with pytest.raises(ValidationError):
         solve_fec_split(10, WILD_PLUS_STABLE, gamma=1.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -255,6 +256,36 @@ def test_estimated_sigma_cells_csv_is_pinned():
     )
 
 
+def test_oracle_sigma_cells_csv_is_pinned():
+    # The oracle counterpart: each cell plans once and draws its replications
+    # in plan epochs, several epochs a cell at 2,500 replications.  The pin
+    # was recorded with the per-replication loop the epoch runner replaced.
+    rows = []
+    for scheduler in SCHEDULERS:
+        base = small(scheduler, object_size=100, replications=2500, seed=23, mode="oracle")
+        rows += run_sweep(base, "sigma", [5.0, 20.0, 50.0], baseline="sedpf")
+    out = io.StringIO()
+    write_csv(rows, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "8b464ebf460e08de81952dd591a2dfc32d5b83051ba062747a51b3b725c6984a"
+    )
+
+
+def test_oracle_cell_memory_does_not_grow_with_replications():
+    # Epochs bound an oracle cell's draws, so its memory is O(n), not
+    # O(n * replications): 50 objects of 100,000 packets would need 38 MiB
+    # of draws at once.  The per-replication loop peaked at 2.6 MiB here.
+    cfg = small(object_size=100_000, replications=50)
+    run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # -- config files ------------------------------------------------------------
 
 
@@ -285,6 +316,22 @@ def test_parse_config_bad_value_names_its_line(tmp_path):
     f.write_text(CONFIG_TEXT.replace("replications = 50", "replications = many"))
     with pytest.raises(ConfigError, match=re.escape(f"{f}:5: bad value for replications")):
         parse_config(f)
+
+
+@pytest.mark.parametrize("old, new, line_no, message", [
+    ("epsilon = 0.05", "epsilon 0.05", 3, "expected 'key = value'"),
+    ("seed = 11", "sed = 11", 6, "unknown key 'sed'"),
+    ("mean_ms = 12\n", "mean_ms = 12\nmean_ms = 30\n", 17,
+     "'mean_ms' is already set on line 16 of this section"),
+    ("replications = 50", "replications = many", 5, "bad value for replications"),
+])
+def test_parse_config_faults_carry_their_line(tmp_path, old, new, line_no, message):
+    f = tmp_path / "exp.cfg"
+    f.write_text(CONFIG_TEXT.replace(old, new))
+    with pytest.raises(errors.ParseError) as exc:
+        parse_config(f)
+    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"{f}:{line_no}: {message}")
 
 
 @pytest.mark.parametrize("old, new, where", [

@@ -183,9 +183,13 @@ def test_relaxed_skips_unreachable_path():
     assert xs == pytest.approx([10.0, 0.0], abs=1e-9)
 
 
-def test_relaxed_degenerate_error():
-    with pytest.raises(ValidationError):
-        solve_relaxed(5, [PathParams(0.0, 0.0), PathParams(0.0, 0.0)])
+def test_relaxed_gives_flat_paths_the_object():
+    # a path with mu = w = 0 finishes any share at its prop, so the first
+    # such path by (prop, j) takes what the others leave
+    assert solve_relaxed(5, [PathParams(0.0, 0.0)] * 2) == [5.0, 0.0]
+    # path 0 reaches the flat path's prop 2 at x = 2; the flat path holds the rest
+    xs = solve_relaxed(4, [PathParams(1.0, 0.0), PathParams(0.0, 0.0, 2.0)])
+    assert xs == pytest.approx([2.0, 2.0], rel=1e-12)
 
 
 def test_integer_refuses_no_paths_and_negative_sizes():
@@ -533,6 +537,35 @@ def test_newton_start_is_the_selection(case):
     # A level below the normal floats has too few bits to place the start
     # (a TINY w makes the Newton slope overflow), so there only the split
     # is checked
+    n, paths = case
+    terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
+    stats = SolveStats()
+    assert solve_integer(n, paths, stats) == take_cheapest(n, terms, [0] * len(paths))
+    if min(t_upper(n, p.in_flight, p) + p.prop_ms for p in paths) >= sys.float_info.min:
+        assert stats.d_upper_evals <= 3 * len(paths) + NEWTON_START_MOVES
+
+
+@st.composite
+def flat_mix_inputs(draw):
+    """m = 1..8 paths like many_path_inputs', at least one of them flat
+    (mu = w = 0), with a prop of 0, a few ms or above every other bound."""
+    def flat():
+        prop = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e5, 1e7)))
+        return PathParams(0.0, 0.0, prop, draw(st.integers(0, 60)))
+
+    _, paths = draw(many_path_inputs())
+    paths = [flat() if draw(st.booleans()) else p for p in paths[: draw(st.integers(0, 7))]]
+    paths.insert(draw(st.integers(0, len(paths))), flat())
+    return draw(st.integers(1, 2000)), paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_mix_inputs())
+@example((10, [PathParams(0.0, 0.0), PathParams(0.0, 0.0)]))
+@example((7, [PathParams(2.0, 1.0), PathParams(0.0, 0.0, 6.0, 3), PathParams(0.0, 0.0, 6.0)]))
+def test_flat_paths_are_solvable(case):
+    # a flat path's items all equal its prop; the selection serves it like
+    # any other path, from the same start
     n, paths = case
     terms = [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
     stats = SolveStats()

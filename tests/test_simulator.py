@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from sosim.delay_sources import DelaySourceSpec, make_source
 from sosim.errors import ConfigError, NoDataError, SosimError, ValidationError
+from sosim import harness
 from sosim.harness import ExperimentConfig, _delays_fixed_size, seeded_paths
 from sosim.scheduler_core import PathParams, d_upper, variance_w
 from sosim.workloads import ObjectSpec
 from sosim.simulator import (
     LiveObject,
+    SCHEDULERS,
     ParamFeed,
     Plan,
     SimConfig,
@@ -261,6 +263,90 @@ def test_engine_matches_vectorized_runner():
             )
             slow = np.array([r.completion_ms - r.start_ms for r in recs])
             assert np.allclose(fast, slow, rtol=1e-9), (scheduler, mode)
+
+
+def per_replication_delays(config):
+    """The fixed-size runner as one Python iteration per replication: the
+    reference the epoch runner must match bit for bit."""
+    specs = seeded_paths(config)
+    sources = [make_source(s) for s in specs]
+    sim_cfg = config.sim_config()
+    policy = make_policy(config.scheduler, sim_cfg)
+    n, reps = config.object_size, config.replications
+    props = np.array([s.propagation_ms for s in specs])
+    feed = ParamFeed(specs, sim_cfg)
+    feed.warmup(sources)
+    delays = np.empty(reps)
+    sent_total = 0
+    plan = None
+    for r in range(reps):
+        if plan is None or config.mode == "estimated":
+            params, stddevs = feed.snapshot([0] * len(specs))
+            plan = policy.plan(n, params, stddevs)
+        draws = [src.take(c) for src, c in zip(sources, plan.counts)]
+        if plan.redundancy == 0:
+            delays[r] = max(d.sum() + p for d, p in zip(draws, props) if len(d))
+        else:
+            arrivals = np.concatenate(
+                [np.cumsum(d) + p for d, p in zip(draws, props) if len(d)]
+            )
+            delays[r] = np.partition(arrivals, plan.threshold - 1)[plan.threshold - 1]
+        sent_total += sum(plan.counts)
+        if feed.windows is not None:
+            for win, d in zip(feed.windows, draws):
+                if len(d) > 1:
+                    win.extend(d[1:])
+    return delays, (sent_total - n * reps) / (n * reps)
+
+
+def runner_paths(kind, tmp_path):
+    """Two paths: one of `kind`, and a gamma path with a propagation delay."""
+    if kind == "trace":
+        f = tmp_path / "t.csv"
+        f.write_text("".join(f"{i},{4.0 + (i * 7) % 5}\n" for i in range(23)))
+        first = DelaySourceSpec(kind="trace", trace_path=f)
+    elif kind == "deterministic":
+        first = det(6.0)
+    else:
+        first = DelaySourceSpec(kind="gamma", mean_ms=5.0, stddev_ms=3.0)
+    return (first, DelaySourceSpec(kind="gamma", mean_ms=7.0, stddev_ms=2.0, propagation_ms=3.0))
+
+
+@pytest.mark.parametrize("epoch", [None, 50])
+@pytest.mark.parametrize("mode", ["oracle", "estimated"])
+@pytest.mark.parametrize("kind", ["gamma", "trace", "deterministic"])
+def test_epoch_runner_matches_the_per_replication_loop(kind, mode, epoch, tmp_path, monkeypatch):
+    # An epoch of 50 draws a path makes oracle epochs of a few rows at n = 13
+    # and of one row at n = 1000; no replication count is a multiple of them.
+    if epoch is not None:
+        monkeypatch.setattr(harness, "_EPOCH_SAMPLES", epoch)
+    paths = runner_paths(kind, tmp_path)
+    for scheduler in SCHEDULERS:
+        for n, reps in ((1, 37), (13, 29), (1000, 23 if mode == "estimated" else 251)):
+            cfg = ExperimentConfig(paths=paths, scheduler=scheduler, object_size=n,
+                                   replications=reps, seed=5, mode=mode,
+                                   warmup_packets=300, gamma=0.4)
+            fast, fast_red = _delays_fixed_size(cfg)
+            slow, slow_red = per_replication_delays(cfg)
+            assert np.array_equal(fast, slow), (scheduler, n)
+            assert fast_red == slow_red, (scheduler, n)
+            if scheduler == "sos_fec" and n == 1000:
+                assert fast_red > 0  # a coded plan
+
+
+@pytest.mark.parametrize("mode", ["oracle", "estimated"])
+@pytest.mark.parametrize("scheduler", ["sos", "sos_fec"])
+def test_epoch_runner_matches_above_the_epoch_size(scheduler, mode):
+    # each path's share of the object is larger than an epoch's draws
+    n = 3 * harness._EPOCH_SAMPLES + 7
+    cfg = ExperimentConfig(paths=(gam(5, 3), gam(7, 2, prop=3.0, seed=1)), scheduler=scheduler,
+                           object_size=n, replications=3, mode=mode, warmup_packets=300)
+    fast, fast_red = _delays_fixed_size(cfg)
+    slow, slow_red = per_replication_delays(cfg)
+    assert np.array_equal(fast, slow)
+    assert fast_red == slow_red
+    if scheduler == "sos_fec":
+        assert fast_red > 0
 
 
 def test_trace_sources_drive_the_engine(tmp_path):
