@@ -23,10 +23,10 @@ last path.
 
 from __future__ import annotations
 
-from math import erf, exp, isfinite, sqrt, tau
+from math import erf, exp, sqrt, tau
 
-from .errors import ValidationError
-from .scheduler_core import _select
+from .errors import ValidationError, require_finite
+from .scheduler_core import _select, _terms
 
 _SQRT2 = sqrt(2.0)
 _SQRT_TAU = sqrt(tau)
@@ -39,7 +39,7 @@ def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     item b_j(x) with w = 0, so the counts are the n cheapest items, picked as
     SOS picks its split.  EDF reads neither `stddevs` nor w.
     """
-    return _select(n, [(p.in_flight, p.mu_ms, 0.0, p.prop_ms) for p in params])
+    return _select(n, [(u, mu, 0.0, prop) for u, mu, w, prop in _terms(n, params)])
 
 
 def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
@@ -79,16 +79,17 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     Ties are broken first by the EDF cost and then by index, so the all-zero
     stddev case reduces to EDF's order exactly.
     """
-    m = len(params)
-    # A NaN cost compares false both ways, which no greedy order can rank;
-    # PathParams already refuses non-finite means and propagation delays.
-    if len(stddevs) != m or not all(map(isfinite, stddevs)):
-        raise ValidationError(f"need one finite stddev per path, got {list(stddevs)}")
+    m = len(_terms(n, params))
+    if len(stddevs) != m:
+        raise ValidationError(f"need one stddev per path, got {list(stddevs)}")
     mean_ms, prop_ms, var_ms, loads = [], [], [], []
     # each path's moments now and with one more packet; a bumped mean is also
     # the path's EDF cost
     means, variances, bumped_means, bumped_vars = [], [], [], []
     for p, s in zip(params, stddevs):
+        # A NaN cost compares false both ways, which no greedy order can rank;
+        # PathParams already refuses non-finite means and propagation delays.
+        require_finite("delay stddev", s, ValidationError)
         u, mu, prop, v = p.in_flight, p.mu_ms, p.prop_ms, s ** 2
         mean_ms.append(mu)
         prop_ms.append(prop)
@@ -101,28 +102,20 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     # folds[c][j] is candidate c's (mean, var) after paths 0..j, for j >= c;
     # shared[j] is the fold of the unbumped paths 0..j, for j < m - 1
     folds = [[None] * m for _ in range(m)]
-    fold0 = folds[0]
-    fold0[0] = bumped_means[0], bumped_vars[0]
     shared = [None] * m
-    shared[0] = means[0], variances[0]
     tails = [range(j + 1, m) for j in range(m)]
-    others = tails[0]
     order = []
-    last = 0  # fold states up to this path are current
+    last = -1  # fold states up to this path are current
     for _ in range(n):
         # candidates up to `last` resume their own fold after it; the others
         # restart theirs from the shared fold, which is extended as they go
-        mean, var = fold0[last]
-        rest = tails[last]
-        for j in rest:
-            mean, var = fold0[j] = clark_max(mean, var, means[j], variances[j])
-        best, best_mean, best_cost = 0, mean, bumped_means[0]
-        for cand in others:
+        best = None
+        for cand in range(m):
             fold = folds[cand]
             if cand <= last:
                 mean, var = fold[last]
-                path_after = rest
-            else:
+                path_after = tails[last]
+            elif cand:
                 pre_mean, pre_var = shared[cand - 1]
                 mean, var = fold[cand] = clark_max(
                     pre_mean, pre_var, bumped_means[cand], bumped_vars[cand]
@@ -130,11 +123,15 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
                 if cand + 1 < m:
                     shared[cand] = clark_max(pre_mean, pre_var, means[cand], variances[cand])
                 path_after = tails[cand]
+            else:
+                mean, var = fold[0] = bumped_means[0], bumped_vars[0]
+                shared[0] = means[0], variances[0]
+                path_after = tails[0]
             for j in path_after:
                 mean, var = fold[j] = clark_max(mean, var, means[j], variances[j])
             cand_mean = bumped_means[cand]
             # (mean, cand_mean) < (best_mean, best_cost) as tuples compare, NaN included
-            if mean < best_mean or (
+            if best is None or mean < best_mean or (
                 (mean == best_mean or mean is best_mean) and cand_mean < best_cost
             ):
                 best, best_mean, best_cost = cand, mean, cand_mean
@@ -144,10 +141,5 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
         loads[best] = u = loads[best] + 1
         bumped_means[best] = (u + 1) * mean_ms[best] + prop_ms[best]
         bumped_vars[best] = (u + 1) * var_ms[best]
-        if best:
-            last = best - 1
-        else:
-            fold0[0] = bumped_means[0], bumped_vars[0]
-            shared[0] = means[0], variances[0]
-            last = 0
+        last = best - 1
     return tuple(order)

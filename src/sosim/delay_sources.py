@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, require_count
+from .errors import ConfigError, ParseError, read_text, require_count, require_finite
 
 KINDS = ("deterministic", "gamma", "trace")
 # Fields each kind never reads; a spec must leave them at their defaults.
@@ -47,9 +47,9 @@ class DelaySourceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown delay source kind {self.kind!r}")
-        values = (self.mean_ms, self.stddev_ms, self.propagation_ms)
-        if not all(math.isfinite(x) and x >= 0 for x in values):
-            raise ConfigError("delay source parameters must be finite and nonnegative")
+        require_finite("mean_ms", self.mean_ms)
+        require_finite("stddev_ms", self.stddev_ms)
+        require_finite("propagation_ms", self.propagation_ms)
         if self.kind == "gamma" and (self.mean_ms <= 0 or self.stddev_ms <= 0):
             raise ConfigError("gamma sources need mean_ms > 0 and stddev_ms > 0")
         if self.kind == "trace" and self.trace_path is None:
@@ -120,11 +120,7 @@ class TraceSource:
 
 def _parse_trace(path: Path) -> list[float]:
     samples: list[float] = []
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path, "trace").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

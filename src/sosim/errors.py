@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-count check.
+"""Exception types shared across the package, and the checks of its inputs.
 
 One type per fault: `ConfigError` for a bad run setting (a field of
 `SimConfig`, `ExperimentConfig` or `DelaySourceSpec`, or a bad config file,
@@ -6,9 +6,15 @@ page spec, trace file or command line), with `ParseError` when one file line
 is at fault; `ValidationError` for a bad argument to a library function; and
 `NoDataError` when estimated mode has nothing to estimate from.  All derive
 from `SosimError`.
+
+Each kind of input has one check: `require_count` for an integer count,
+`require_finite` for a finite, nonnegative real, and `read_text` for an
+input file.
 """
 
+import math
 import operator
+from pathlib import Path
 
 
 class SosimError(Exception):
@@ -44,3 +50,22 @@ def require_count(name: str, value, minimum: int, error: type[SosimError] = Conf
         raise error(f"{name} must be an integer, got {value!r}") from None
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_finite(name: str, value, error: type[SosimError] = ConfigError) -> None:
+    """Refuse a value that is not a finite real >= 0 (NaN fails both comparisons)."""
+    try:
+        if 0.0 <= value < math.inf:
+            return
+    except TypeError:  # not a number at all
+        pass
+    raise error(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def read_text(path, what: str) -> str:
+    """The text of the `what` file at `path`; one that cannot be read or decoded
+    is a `ConfigError`."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NoDataError, ValidationError
+from .errors import NoDataError, ValidationError, require_count, require_finite
 from .scheduler_core import PathParams, variance_w
 
 DEFAULT_WINDOW = 5000
@@ -38,8 +38,7 @@ class RollingWindow:
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
-        if capacity < 1:
-            raise ValidationError("window capacity must be positive")
+        require_count("window capacity", capacity, 1, ValidationError)
         self.capacity = capacity
         self._buf = np.empty(capacity)
         self._head = 0  # slot of the next write, which is the oldest sample once full
@@ -52,8 +51,7 @@ class RollingWindow:
         return self._size
 
     def record(self, delay_ms: float) -> None:
-        if not 0.0 <= delay_ms < math.inf:
-            raise ValidationError(f"delay sample {delay_ms} is not finite and nonnegative")
+        require_finite("delay sample", delay_ms, ValidationError)
         head = self._head
         self._buf[head] = delay_ms
         head += 1

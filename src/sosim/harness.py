@@ -17,28 +17,19 @@ candidate's seed so both consume identical delay streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .delay_sources import DelaySourceSpec, make_source, oracle_stats
-from .errors import ConfigError, ParseError, ValidationError, require_count
+from .errors import ConfigError, ParseError, ValidationError, read_text, require_count
 from .estimation import nearest_rank
 from .fec import DEFAULT_GAMMA
 from .priority_engine import ORDERINGS, run_page
 from .simulator import SCHEDULERS, ParamFeed, SimConfig, make_policy
 from .workloads import load_page_spec
-
-CSV_COLUMNS = (
-    "label",
-    "mean_delay_ms",
-    "p95_delay_ms",
-    "redundancy_fraction",
-    "improvement_mean_pct",
-    "improvement_p95_pct",
-)
 
 
 @dataclass(frozen=True)
@@ -96,6 +87,9 @@ class MetricsRow:
     redundancy_fraction: float
     improvement_mean_pct: float | None = None
     improvement_p95_pct: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def improvement_pct(baseline_ms: float, candidate_ms: float) -> float:
@@ -323,10 +317,7 @@ _FILE_KEYS = ("page_spec", "trace_path")
 def parse_config(path) -> ExperimentConfig:
     """Parse the experiment config grammar (see README for the full format)."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = read_text(path, "config")
     global_kv: dict = {}
     path_blocks: list[dict] = []
     current: dict | None = None

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from math import hypot, nextafter, sqrt
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count, require_finite
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,10 @@ class PathParams:
     in_flight: int = 0
 
     def __post_init__(self):
-        # NaN fails every comparison, so `0 <= x < inf` refuses it too.
-        inf = math.inf
-        if not (0.0 <= self.mu_ms < inf and 0.0 <= self.w < inf and 0.0 <= self.prop_ms < inf):
-            raise ValidationError(
-                f"path parameters mu_ms={self.mu_ms}, w={self.w}, prop_ms={self.prop_ms} "
-                "must be finite and nonnegative"
-            )
-        if self.in_flight < 0:
-            raise ValidationError("in-flight count must be nonnegative")
+        require_finite("mu_ms", self.mu_ms, ValidationError)
+        require_finite("w", self.w, ValidationError)
+        require_finite("prop_ms", self.prop_ms, ValidationError)
+        require_count("in-flight count", self.in_flight, 0, ValidationError)
 
 
 @dataclass
@@ -102,8 +97,7 @@ def variance_w(epsilon_j: float, sigma_ms: float) -> float:
     """
     if not 0.0 < epsilon_j <= 1.0:
         raise ValidationError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
-    if sigma_ms < 0:
-        raise ValidationError(f"negative delay stddev {sigma_ms}")
+    require_finite("delay stddev", sigma_ms, ValidationError)
     return sigma_ms * math.sqrt(-2.0 * math.log(epsilon_j))
 
 
@@ -112,8 +106,8 @@ def t_upper(n_j: int, u_j: int, params: PathParams) -> float:
 
     Propagation delay is not included here; d_upper adds it once per path.
     """
-    if n_j < 0 or u_j < 0:
-        raise ValidationError("packet counts must be nonnegative")
+    require_count("new-packet count", n_j, 0, ValidationError)
+    require_count("in-flight count", u_j, 0, ValidationError)
     k = n_j + u_j
     return k * params.mu_ms + math.sqrt(k) * params.w
 
@@ -122,13 +116,14 @@ def d_upper(counts, paths) -> float:
     """Object-level delay bound: max over paths of t_upper + propagation.
 
     `counts` holds one new-packet count per path, each path's recorded
-    in-flight count is its backlog offset, and a negative count is refused.
-    A path with zero allocation still contributes its propagation (and
-    backlog) term.
+    in-flight count is its backlog offset, and a negative count or an empty
+    path list is refused.  A path with zero allocation still contributes its
+    propagation (and backlog) term.
     """
     paths = list(paths)
-    if len(counts) != len(paths):
-        raise ValidationError(f"split has {len(counts)} entries for {len(paths)} paths")
+    if not paths or len(counts) != len(paths):
+        raise ValidationError(f"split has {len(counts)} entries for {len(paths)} paths, "
+                              "need one per path and at least one path")
     return max(t_upper(c, p.in_flight, p) + p.prop_ms for c, p in zip(counts, paths))
 
 
@@ -137,8 +132,7 @@ def _terms(n: int, paths) -> list[tuple]:
     paths = list(paths)
     if not paths:
         raise ValidationError("need at least one path")
-    if n < 0:
-        raise ValidationError("object size must be nonnegative")
+    require_count("object size", n, 0, ValidationError)
     return [(p.in_flight, p.mu_ms, p.w, p.prop_ms) for p in paths]
 
 
@@ -182,10 +176,11 @@ def _level_shares(n: int, terms, slack: float) -> list[float]:
     the root from its right.  While they run, S >= n + slack > 0, so some
     slope term is positive (or NaN): no step divides by zero.  A step that
     does not lower the level (or is NaN) ends them, and so does one to
-    S < n - 1/2.  Where S still misses n by 1/2, a flat path, or one whose
-    items all round to about one value so that its share leapt past n
-    between adjacent levels, holds the rest: the first such path by
-    (prop, j) takes what the others leave.
+    S < n - 1/2.  Where S still misses n by 1/2, a path whose n-th item is
+    at most the level holds the rest (a flat path, or one whose items all
+    round to about one value so that its share leapt past n between
+    adjacent levels): the first such path by (prop, j) takes what the
+    others leave.
     """
     level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
     xs, slope = _shares(level, terms)
@@ -201,7 +196,8 @@ def _level_shares(n: int, terms, slack: float) -> list[float]:
             break
         level, xs, slope, total = nxt, nxs, nslope, ntotal
     if not -0.5 < total - n < 0.5:
-        full = [j for j, (t, x) in enumerate(zip(terms, xs)) if x >= n or t[1] == t[2] == 0.0]
+        full = [j for j, (u, mu, w, prop) in enumerate(terms)
+                if (n + u) * mu + sqrt(n + u) * w + prop <= level]
         for j in full:  # a share that large would swamp the others' sum
             xs[j] = 0.0
         if full:

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import oracle_stats
-from .errors import ConfigError, NoDataError, SosimError, ValidationError, require_count
+from .errors import (
+    ConfigError, NoDataError, SosimError, ValidationError, require_count, require_finite
+)
 from .estimation import DEFAULT_WINDOW, RollingWindow, snapshot_params
 from .scheduler_core import PathParams, Plan, split_object, variance_w
 from .workloads import ObjectSpec
@@ -59,10 +60,7 @@ class SimConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown parameter mode {self.mode!r}")
-        if not 0.0 <= self.ack_return_ms < math.inf:  # NaN fails both comparisons
-            raise ConfigError(
-                f"ack_return_ms must be finite and nonnegative, got {self.ack_return_ms}"
-            )
+        require_finite("ack_return_ms", self.ack_return_ms)
         require_count("warmup_packets", self.warmup_packets, 0)
         require_count("window_capacity", self.window_capacity, 1)
         if self.priors is not None:
@@ -74,10 +72,8 @@ def _prior(entry) -> tuple[float, float]:
     if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 4):
         raise ConfigError(f"prior {entry!r} is not a (mean, stddev) pair")
     mean, stddev = entry[0], entry[-1]
-    if not (0.0 <= mean < math.inf and 0.0 <= stddev < math.inf):
-        raise ConfigError(
-            f"prior mean {mean} and stddev {stddev} must be finite and nonnegative"
-        )
+    require_finite("prior mean", mean)
+    require_finite("prior stddev", stddev)
     return mean, stddev
 
 

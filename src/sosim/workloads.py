@@ -12,14 +12,12 @@ delayed packet cannot stall requests generated by earlier ones).
 from __future__ import annotations
 
 import bisect
-import math
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, require_count
+from .errors import ParseError, ValidationError, read_text, require_count, require_finite
 
 MAX_RANDOM_SIZE = 12  # largest object random_page draws, in packets
 
@@ -35,9 +33,7 @@ class Trigger:
     dep_packet: int = 0
 
     def __post_init__(self):
-        # A page starts at time zero; NaN fails both comparisons.
-        if not 0.0 <= self.at_ms < math.inf:
-            raise ValidationError(f"trigger time {self.at_ms} must be finite and nonnegative")
+        require_finite("trigger time", self.at_ms, ValidationError)  # from the page start
 
     @classmethod
     def t0(cls) -> "Trigger":
@@ -83,16 +79,8 @@ class ObjectSpec:
     trigger: Trigger = Trigger("t0")
 
     def __post_init__(self):
-        try:
-            operator.index(self.size_packets)  # ints, numpy ints; not 2.5
-        except TypeError:
-            raise ValidationError(
-                f"object {self.id!r} needs an integer size_packets, got {self.size_packets!r}"
-            ) from None
-        if self.size_packets < 1:
-            raise ValidationError(f"object {self.id!r} needs size_packets >= 1")
-        if self.priority < 0:
-            raise ValidationError(f"object {self.id!r} has negative priority")
+        require_count(f"object {self.id!r} size_packets", self.size_packets, 1, ValidationError)
+        require_count(f"object {self.id!r} priority", self.priority, 0, ValidationError)
 
     @property
     def is_dom(self) -> bool:
@@ -172,11 +160,7 @@ def load_page_spec(path) -> list[ObjectSpec]:
     """Parse, validate and expand a page spec file."""
     path = Path(path)
     specs: list[ObjectSpec] = []
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read page spec {path}: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path, "page spec").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -267,8 +251,7 @@ def random_page(
     later packets (or from DOM parents) and use the remaining connections, so
     a connection never queues a plain object ahead of a render-critical one.
     """
-    if n_objects < 1:
-        raise ValidationError("a page needs at least one object")
+    require_count("n_objects", n_objects, 1, ValidationError)
     n_dom = max(1, round(dom_fraction * n_objects))
     dom_ids = {0}
     if n_objects > 1 and n_dom > 1:

@@ -185,7 +185,7 @@ def test_engine_refuses_an_unknown_ordering():
 
 def test_run_page_refuses_fractional_size():
     # used to die with a raw TypeError inside the engine
-    with pytest.raises(ValidationError, match="integer size_packets"):
+    with pytest.raises(ValidationError, match="size_packets must be an integer"):
         run_page([ObjectSpec("a", 2.5, priority=1)], sources(det(1.0)), SimConfig())
 
 

@@ -5,14 +5,17 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sosim.baselines import edf_assign
+from sosim.baselines import edf_assign, sedpf_assign
 from sosim.errors import ValidationError
+from sosim.estimation import RollingWindow
+from sosim.fec import solve_fec_split
 from sosim.scheduler_core import (
     PathParams,
     SolveStats,
@@ -25,6 +28,7 @@ from sosim.scheduler_core import (
     take_cheapest,
     variance_w,
 )
+from sosim.workloads import random_page
 
 
 def flat_path(mu, w=0.0, prop=0.0, u=0):
@@ -192,11 +196,45 @@ def test_relaxed_gives_flat_paths_the_object():
     assert xs == pytest.approx([2.0, 2.0], rel=1e-12)
 
 
-def test_integer_refuses_no_paths_and_negative_sizes():
-    with pytest.raises(ValidationError, match="at least one path"):
-        solve_integer(3, [])
-    with pytest.raises(ValidationError, match="object size must be nonnegative"):
-        solve_integer(-1, [flat_path(1.0), flat_path(2.0)])
+REFUSAL_PATHS = [flat_path(1.0, 1.0), flat_path(2.0, 0.5, 1.0, 3)]
+REFUSAL_STDDEVS = [1.0, 0.5]
+SIZED_CALLS = {
+    "solve_integer": lambda n: solve_integer(n, REFUSAL_PATHS),
+    "solve_relaxed": lambda n: solve_relaxed(n, REFUSAL_PATHS),
+    "solve_fec_split": lambda n: solve_fec_split(n, REFUSAL_PATHS),
+    "edf_assign": lambda n: edf_assign(REFUSAL_PATHS, REFUSAL_STDDEVS, n),
+    "sedpf_assign": lambda n: sedpf_assign(REFUSAL_PATHS, REFUSAL_STDDEVS, n),
+}
+#: Bad library arguments.  A size of 2.5 or NaN, or a NaN backlog, must not
+#: reach the selection, which never returns on some of them.
+REFUSED_CALLS = {
+    **{f"{name}-n={n}": partial(call, n)
+       for name, call in SIZED_CALLS.items() for n in (2.5, math.nan, -1)},
+    **{f"PathParams-in_flight={u}": partial(PathParams, 1.0, 1.0, 0.0, u)
+       for u in (math.nan, math.inf, 2.5, -1)},
+    "solve_integer-no-paths": lambda: solve_integer(3, []),
+    "edf_assign-no-paths": lambda: edf_assign([], [], 3),
+    "sedpf_assign-no-paths": lambda: sedpf_assign([], [], 3),
+    "d_upper-no-paths": lambda: d_upper([], []),
+    "variance_w-sigma=nan": lambda: variance_w(0.05, math.nan),
+    "random_page-n_objects=2.5": lambda: random_page(np.random.default_rng(0), 2.5, 1, 0.2),
+    "RollingWindow-capacity=2.5": lambda: RollingWindow(2.5),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
+def test_library_refuses_bad_arguments(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_numpy_integer_size_and_backlog_are_accepted():
+    paths = [flat_path(1.0, 1.0, 0.0, np.int64(3)), flat_path(2.0, 0.5, 1.0)]
+    size = np.int64(7)
+    assert solve_integer(size, paths) == solve_integer(7, [flat_path(1.0, 1.0, 0.0, 3), paths[1]])
+    assert sum(solve_fec_split(size, paths).base_counts) == 7
+    assert sum(edf_assign(paths, REFUSAL_STDDEVS, size)) == 7
+    assert len(sedpf_assign(paths, REFUSAL_STDDEVS, size)) == 7
 
 
 def test_relaxed_wardrop_equalization_random():
@@ -563,6 +601,8 @@ def flat_mix_inputs(draw):
 @given(flat_mix_inputs())
 @example((10, [PathParams(0.0, 0.0), PathParams(0.0, 0.0)]))
 @example((7, [PathParams(2.0, 1.0), PathParams(0.0, 0.0, 6.0, 3), PathParams(0.0, 0.0, 6.0)]))
+# path 1's items all round to its prop, the flat path's level; it comes first
+@example((6, [PathParams(0.0, 1.0), PathParams(0.0, 5e-324, 1.0), PathParams(0.0, 0.0, 1.0)]))
 def test_flat_paths_are_solvable(case):
     # a flat path's items all equal its prop; the selection serves it like
     # any other path, from the same start

@@ -378,7 +378,7 @@ def test_simulation_without_paths_is_a_validation_error():
 
 def test_run_transfer_refuses_fractional_size():
     # sizes are packet counts: 2.7 used to be truncated to 2 packets
-    with pytest.raises(ValidationError, match="integer size_packets"):
+    with pytest.raises(ValidationError, match="size_packets must be an integer"):
         run_transfer([2.7], "sos", [make_source(det(5.0))])
 
 

@@ -43,7 +43,7 @@ def test_trigger_parse_refuses_a_dependency_without_a_packet():
 
 
 def test_random_page_needs_an_object():
-    with pytest.raises(ValidationError, match="at least one object"):
+    with pytest.raises(ValidationError, match="n_objects must be >= 1"):
         random_page(np.random.default_rng(0), 0, 1, 0.2)
 
 
@@ -210,7 +210,7 @@ def test_queue_rearmed_residual_keeps_its_request_position():
 
 @pytest.mark.parametrize("size", [2.5, 3.0, "3", None])
 def test_object_size_must_be_an_integer(size):
-    with pytest.raises(ValidationError, match="integer size_packets"):
+    with pytest.raises(ValidationError, match="size_packets must be an integer"):
         ObjectSpec("a", size)
 
 
