@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError, SosimError
 from .harness import SWEEP_AXES, _run_paired, parse_config, run_sweep, write_csv
@@ -58,18 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
+    """The config file's experiment, with each option given that names one of its fields."""
     config = parse_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "ordering", None) is not None:
-        overrides["ordering"] = args.ordering
-    if getattr(args, "page_spec", None) is not None:
-        overrides["page_spec"] = args.page_spec
-        overrides.setdefault("object_size", None)
-    return replace(config, **overrides) if overrides else config
+    overrides = {f.name: getattr(args, f.name) for f in fields(config)
+                 if getattr(args, f.name, None) is not None}
+    if "page_spec" in overrides:
+        overrides["object_size"] = None
+    return replace(config, **overrides)
 
 
 def _sweep_values(axis: str, text: str) -> list:
@@ -80,10 +76,24 @@ def _sweep_values(axis: str, text: str) -> list:
         raise ConfigError(f"bad --values for axis {axis}: {exc}") from exc
 
 
+def _check_out(path) -> None:
+    """Refuse an unwritable --out before anything runs; a run that fails later
+    leaves a new file uncreated and an old one untouched."""
+    made = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    if made:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        if args.out is not None:
+            _check_out(args.out)
         if args.command == "sweep":
             rows = run_sweep(
                 config,

@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, read_text, require_count, require_finite
 
-KINDS = ("deterministic", "gamma", "trace")
 # Fields each kind never reads; a spec must leave them at their defaults.
 _UNREAD = {
     "deterministic": ("stddev_ms", "trace_path", "seed"),
     "gamma": ("trace_path",),
     "trace": ("mean_ms", "stddev_ms", "seed"),
 }
+KINDS = tuple(_UNREAD)
 _REFILL = 256
 
 

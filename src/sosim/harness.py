@@ -17,9 +17,11 @@ candidate's seed so both consume identical delay streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import reduce
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -63,15 +65,10 @@ class ExperimentConfig:
         if self.ordering not in ORDERINGS:
             raise ConfigError(f"unknown ordering {self.ordering!r}")
         require_count("seed", self.seed, 0)  # numpy SeedSequence entropy
-        # SimConfig checks epsilon, gamma, ack_return_ms, mode and warmup_packets.
-        sim = SimConfig(
-            epsilon=self.epsilon,
-            gamma=self.gamma,
-            ack_return_ms=self.ack_return_ms,
-            mode=self.mode,
-            warmup_packets=self.warmup_packets,
-        )
-        object.__setattr__(self, "_sim_config", sim)
+        # SimConfig checks the settings the two classes share (epsilon, gamma, mode...).
+        shared = {f.name: getattr(self, f.name) for f in fields(SimConfig)
+                  if f.name in self.__dataclass_fields__}
+        object.__setattr__(self, "_sim_config", SimConfig(**shared))
 
     def sim_config(self) -> SimConfig:
         return self._sim_config
@@ -94,8 +91,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 def improvement_pct(baseline_ms: float, candidate_ms: float) -> float:
     """Ratio-minus-one improvement: 100% means the candidate is twice as fast."""
-    if baseline_ms <= 0 or candidate_ms <= 0:
-        raise ValidationError("improvement needs positive delays")
+    if not (0 < baseline_ms < math.inf and 0 < candidate_ms < math.inf):  # NaN fails too
+        raise ValidationError("improvement needs positive, finite delays")
     return (baseline_ms / candidate_ms - 1.0) * 100.0
 
 
@@ -270,12 +267,7 @@ def _format_cell(value) -> str:
 def write_csv(rows, out) -> None:
     """Header plus one line per row, >= 6 significant digits on decimals."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _format_cell(getattr(row, col)) for col in CSV_COLUMNS
-            )
-        )
+    lines += [",".join(_format_cell(getattr(row, col)) for col in CSV_COLUMNS) for row in rows]
     text = "\n".join(lines) + "\n"
     if hasattr(out, "write"):
         out.write(text)
@@ -285,33 +277,18 @@ def write_csv(rows, out) -> None:
 
 # ---------------------------------------------------------------------------
 # Config file parsing: flat `key = value` lines with repeated [path] sections.
+# The keys are the fields of ExperimentConfig (but `paths`) and of DelaySourceSpec.
 
-_GLOBAL_KEYS = {
-    "scheduler": str,
-    "epsilon": float,
-    "gamma": float,
-    "object_size": int,
-    "page_spec": str,
-    "replications": int,
-    "seed": int,
-    "mode": str,
-    "warmup_packets": int,
-    "ack_return_ms": float,
-    "ordering": str,
-    "label": str,
-}
 
-_PATH_KEYS = {
-    "kind": str,
-    "mean_ms": float,
-    "stddev_ms": float,
-    "trace_path": str,
-    "propagation_ms": float,
-    "seed": int,
-}
+def _reader(hint) -> tuple[type, bool]:
+    """The first of int, float and str that a field's type admits, and whether
+    the field names a file (its type admits a Path)."""
+    admitted = get_args(hint) or (hint,)
+    return next(t for t in (int, float, str) if t in admitted), Path in admitted
 
-# File names in a config are relative to the config file's directory.
-_FILE_KEYS = ("page_spec", "trace_path")
+
+_GLOBAL_KEYS = {k: _reader(t) for k, t in get_type_hints(ExperimentConfig).items() if k != "paths"}
+_PATH_KEYS = {k: _reader(t) for k, t in get_type_hints(DelaySourceSpec).items()}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -320,34 +297,34 @@ def parse_config(path) -> ExperimentConfig:
     text = read_text(path, "config")
     global_kv: dict = {}
     path_blocks: list[dict] = []
-    current: dict | None = None
+    section, keys = global_kv, _GLOBAL_KEYS  # the section being read, and its keys
     key_lines: dict[str, int] = {}  # where each key of the current section was set
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[path]":
-            current, key_lines = {}, {}
-            path_blocks.append(current)
+            section, keys, key_lines = {}, _PATH_KEYS, {}
+            path_blocks.append(section)
             continue
         if "=" not in line:
             raise ParseError(path, line_no, "expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        table = _PATH_KEYS if current is not None else _GLOBAL_KEYS
-        if key not in table:
+        if key not in keys:
             raise ParseError(path, line_no, f"unknown key {key!r}")
         if key in key_lines:
             raise ParseError(path, line_no, f"{key!r} is already set on line {key_lines[key]} "
                              "of this section")
         key_lines[key] = line_no
+        parse, names_file = keys[key]
         try:
-            parsed = table[key](value)
+            parsed = parse(value)
         except ValueError as exc:
             raise ParseError(path, line_no, f"bad value for {key}: {exc}") from exc
-        if key in _FILE_KEYS:
+        if names_file:  # relative to the config file's directory
             parsed = str(path.parent / parsed)
-        (current if current is not None else global_kv)[key] = parsed
+        section[key] = parsed
     if not path_blocks:
         raise ConfigError(f"{path}: no [path] sections")
     try:

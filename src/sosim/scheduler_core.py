@@ -78,11 +78,14 @@ class Plan:
 def compute_w(epsilon_j: float, a_ms: float, b_ms: float) -> float:
     """Hoeffding variability weight sqrt(-ln(eps_j) * (b - a)^2 / 2).
 
-    Valid for delays that almost surely lie in [a, b].  Zero when the delay
-    range collapses (a == b) or eps_j == 1.
+    Valid for delays that almost surely lie in [a, b], so a bound that is
+    negative or not finite is refused.  Zero when the delay range collapses
+    (a == b) or eps_j == 1.
     """
     if not 0.0 < epsilon_j <= 1.0:
         raise ValidationError(f"per-path epsilon must lie in (0, 1], got {epsilon_j}")
+    require_finite("delay lower bound", a_ms, ValidationError)
+    require_finite("delay upper bound", b_ms, ValidationError)
     if a_ms > b_ms:
         raise ValidationError(f"lower bound {a_ms} exceeds upper bound {b_ms}")
     return math.sqrt(-math.log(epsilon_j) * (b_ms - a_ms) ** 2 / 2.0)
@@ -182,7 +185,8 @@ def _level_shares(n: int, terms, slack: float) -> list[float]:
     adjacent levels): the first such path by (prop, j) takes what the
     others leave.
     """
-    level = min([(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms])
+    items = [(n + u) * mu + sqrt(n + u) * w + prop for u, mu, w, prop in terms]  # b_j(n)
+    level = min(items)
     xs, slope = _shares(level, terms)
     if (total := sum(xs)) < n - 0.5:
         cap = min([prop for u, mu, w, prop in terms if mu == w == 0.0], default=math.inf)
@@ -196,8 +200,7 @@ def _level_shares(n: int, terms, slack: float) -> list[float]:
             break
         level, xs, slope, total = nxt, nxs, nslope, ntotal
     if not -0.5 < total - n < 0.5:
-        full = [j for j, (u, mu, w, prop) in enumerate(terms)
-                if (n + u) * mu + sqrt(n + u) * w + prop <= level]
+        full = [j for j, b in enumerate(items) if b <= level]
         for j in full:  # a share that large would swamp the others' sum
             xs[j] = 0.0
         if full:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_improvement_rejects_nonpositive():
         improvement_pct(0.0, 1.0)
     with pytest.raises(ValidationError):
         improvement_pct(1.0, -1.0)
+    for baseline, candidate in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValidationError):
+            improvement_pct(baseline, candidate)
 
 
 # -- run_experiment ----------------------------------------------------------
@@ -290,13 +294,33 @@ def test_oracle_cell_memory_does_not_grow_with_replications():
 
 
 def test_parse_config(tmp_path):
+    # Every key but the file names (test_cli_config_file_names_are_relative_to_the_config
+    # covers those), each set to a value other than its field's default.
     f = tmp_path / "exp.cfg"
-    f.write_text(CONFIG_TEXT)
+    f.write_text(
+        "scheduler = sos_fec\nepsilon = 0.1\ngamma = 0.25\nobject_size = 20\nreplications = 50\n"
+        "seed = 11\nmode = estimated\nwarmup_packets = 300\nack_return_ms = 1.5\n"
+        "ordering = fifo\nlabel = every key\n\n"
+        "[path]\nkind = deterministic\nmean_ms = 3\n\n"
+        "[path]\nkind = gamma\nmean_ms = 12\nstddev_ms = 5\npropagation_ms = 2\nseed = 7\n"
+    )
     cfg = parse_config(f)
-    assert cfg.scheduler == "sos"
-    assert cfg.object_size == 20
     assert len(cfg.paths) == 2
-    assert cfg.paths[1].propagation_ms == 2.0
+    assert cfg.paths[0] == DelaySourceSpec(kind="deterministic", mean_ms=3.0)
+    expected = {
+        cfg: (dict(scheduler="sos_fec", epsilon=0.1, gamma=0.25, object_size=20, replications=50,
+                   seed=11, mode="estimated", warmup_packets=300, ack_return_ms=1.5,
+                   ordering="fifo", label="every key"), {"paths", "page_spec"}),
+        cfg.paths[1]: (dict(kind="gamma", mean_ms=12.0, stddev_ms=5.0, propagation_ms=2.0, seed=7),
+                       {"trace_path"}),
+    }
+    for built, (values, file_keys) in expected.items():
+        assert set(values) == {f.name for f in fields(built)} - file_keys
+        for field in fields(built):
+            if field.name in values:
+                got = getattr(built, field.name)
+                assert got != field.default
+                assert got == values[field.name] and type(got) is type(values[field.name])
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -531,6 +555,17 @@ def test_cli_config_file_names_are_relative_to_the_config(tmp_path, monkeypatch,
             assert main([command, "--config", config]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and outs[0].startswith("label,")
+
+
+@pytest.mark.parametrize("out", [".", "missing/f.csv"])
+def test_cli_unwritable_out_exits_2_before_running(config_file, tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", lambda config: ran.append(config))
+    assert main(["run", "--config", str(config_file), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {out}: ") and err.count("\n") == 1
+    assert ran == []
 
 
 def test_cli_page_without_page_spec_exits_2(config_file, capsys):

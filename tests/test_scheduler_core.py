@@ -217,6 +217,8 @@ REFUSED_CALLS = {
     "sedpf_assign-no-paths": lambda: sedpf_assign([], [], 3),
     "d_upper-no-paths": lambda: d_upper([], []),
     "variance_w-sigma=nan": lambda: variance_w(0.05, math.nan),
+    "compute_w-a=nan": lambda: compute_w(0.05, math.nan, 1.0),
+    "compute_w-b=inf": lambda: compute_w(0.05, 0.0, math.inf),
     "random_page-n_objects=2.5": lambda: random_page(np.random.default_rng(0), 2.5, 1, 0.2),
     "RollingWindow-capacity=2.5": lambda: RollingWindow(2.5),
 }
