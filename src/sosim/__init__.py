@@ -58,7 +58,6 @@ from .workloads import (
     Trigger,
     expand_chunked,
     load_page_spec,
-    maybe_preempt,
     random_page,
 )
 

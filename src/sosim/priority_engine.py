@@ -1,11 +1,13 @@
 """Multi-object orchestration over the simulator.
 
-Objects become pending when their trigger fires, dispatch in priority order
-(FIFO order under the comparison policy), and their splits account for the
-live in-flight backlog on every path.  A newly triggered object preempts
-lower-priority objects transmitting on other connections: their queued,
-unserved packets are pulled back and re-planned as a residual object; packets
-already in service continue and still count toward completion.
+The engine checks and expands its page once (`expand_chunked`).  Objects
+become pending when their trigger fires, dispatch in the queue's order
+(priority, or request order for the FIFO comparison), and their splits
+account for the live in-flight backlog on every path.  Under priority order
+a newly triggered object preempts lower-priority objects transmitting on
+other connections: their queued, unserved packets are pulled back and
+re-planned as a residual object; packets already in service continue and
+still count toward completion.
 
 A connection hands its responses to the transport in request order, so each
 connection keeps one slot: the last object dispatched on it.  Only that
@@ -19,14 +21,7 @@ from collections import deque
 
 from .errors import ConfigError
 from .simulator import KIND_ARRIVAL, LiveObject, SimConfig, Simulation, make_policy
-from .workloads import (
-    ObjectQueue,
-    ObjectSpec,
-    PageResult,
-    expand_chunked,
-    maybe_preempt,
-    validate_specs,
-)
+from .workloads import ObjectQueue, ObjectSpec, PageResult, expand_chunked
 
 ORDERINGS = ("priority", "fifo")
 
@@ -44,8 +39,7 @@ class PriorityEngine:
     ):
         if ordering not in ORDERINGS:
             raise ConfigError(f"unknown ordering {ordering!r}")
-        self.specs = expand_chunked(validate_specs(specs))
-        self.ordering = ordering
+        self.specs = expand_chunked(specs)
         self.policy = make_policy(scheduler, config)
         self.sim = Simulation(sources, config)
         self.queue = ObjectQueue(by_priority=(ordering == "priority"))
@@ -87,7 +81,7 @@ class PriorityEngine:
         # connection; the simulator does not report that from inside
         # dispatch, and the loop's next scan sees the connection free.
         while (cand := self.queue.next_ready_object(self._busy())) is not None:
-            if self.ordering == "priority":
+            if self.queue.by_priority:
                 self._preempt_for(cand)
             live = self.lives[cand.id]
             self._slots[cand.connection_id] = (self.queue.take(cand), live)
@@ -95,7 +89,11 @@ class PriorityEngine:
 
     def _preempt_for(self, candidate: ObjectSpec) -> None:
         for seq, live in self._slots.values():
-            if live.unserved > 0 and maybe_preempt(live.spec, candidate):
+            if (
+                live.unserved > 0
+                and candidate.priority > live.spec.priority
+                and candidate.connection_id != live.spec.connection_id
+            ):
                 self.sim.pull_unserved(live)
                 # Residual re-enters the queue at its original request position.
                 self.queue.arm(live.spec, arrival_seq=seq)

@@ -2,11 +2,13 @@
 
 Page spec files are line-oriented CSV: `id,size_packets,dom,connection_id,
 chunked,trigger` where `dom` is 0 (plain) or a positive priority, `chunked`
-is 0/1, and `trigger` is `t0`, `t:<ms>` (a finite, nonnegative time from the
-page start) or `dep:<object_id>:<packet_index>`.
+is 0/1, and `trigger` is `t0` (time zero), `t:<ms>` (a finite, nonnegative time
+from the page start) or `dep:<object_id>:<packet_index>`.
 `#` starts a comment.  Chunked objects expand into per-packet unit objects
 sharing connection and priority (each packet is independently useful, so a
 delayed packet cannot stall requests generated by earlier ones).
+`expand_chunked` is the one routine that checks a page (unique ids,
+dependencies on earlier objects and in-range packets) and expands it.
 """
 
 from __future__ import annotations
@@ -17,27 +19,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_text, require_count, require_finite
+from .errors import (
+    ConfigError, ParseError, ValidationError, read_text, require_count, require_finite
+)
 
 MAX_RANDOM_SIZE = 12  # largest object random_page draws, in packets
 
 
 @dataclass(frozen=True)
 class Trigger:
-    """When an object becomes requestable: at time zero, at a wall-clock time,
-    or once a given packet of an earlier object has been delivered."""
+    """When an object becomes requestable: at a wall-clock time from the page
+    start (`Trigger()` is time zero), or once a given packet of an earlier
+    object has been delivered."""
 
-    kind: str  # "t0" | "at" | "dep"
+    kind: str = "at"  # "at" | "dep"
     at_ms: float = 0.0
     dep_id: str = ""
-    dep_packet: int = 0
+    dep_packet: int = 0  # 1-based; read only by a "dep" trigger
 
     def __post_init__(self):
+        if self.kind not in ("at", "dep"):
+            raise ValidationError(f"unknown trigger kind {self.kind!r}")
         require_finite("trigger time", self.at_ms, ValidationError)  # from the page start
-
-    @classmethod
-    def t0(cls) -> "Trigger":
-        return cls("t0")
+        if self.kind == "dep":
+            require_count(f"packet index of the dependency on {self.dep_id!r}", self.dep_packet,
+                          1, ValidationError)
+            object.__setattr__(self, "dep_packet", int(self.dep_packet))  # a numpy integer as int
 
     @classmethod
     def at(cls, ms: float) -> "Trigger":
@@ -45,15 +52,13 @@ class Trigger:
 
     @classmethod
     def dep(cls, object_id: str, packet_index: int) -> "Trigger":
-        require_count(f"packet index of the dependency on {object_id!r}", packet_index, 0,
-                      ValidationError)
-        return cls("dep", dep_id=object_id, dep_packet=int(packet_index))
+        return cls("dep", dep_id=object_id, dep_packet=packet_index)
 
     @classmethod
     def parse(cls, text: str) -> "Trigger":
         text = text.strip()
         if text == "t0":
-            return cls.t0()
+            return cls()
         try:
             if text.startswith("t:"):
                 return cls.at(float(text[2:]))
@@ -76,7 +81,7 @@ class ObjectSpec:
     priority: int = 0
     connection_id: str = "c0"
     chunked: bool = False
-    trigger: Trigger = Trigger("t0")
+    trigger: Trigger = Trigger()
 
     def __post_init__(self):
         require_count(f"object {self.id!r} size_packets", self.size_packets, 1, ValidationError)
@@ -99,65 +104,53 @@ class PageResult:
             raise ValidationError("DOM completion cannot exceed page completion")
 
 
-def validate_specs(specs) -> list[ObjectSpec]:
-    """Check id uniqueness and that dependencies point backwards and in bounds."""
-    specs = list(specs)
-    seen: dict[str, ObjectSpec] = {}
+def expand_chunked(specs) -> list[ObjectSpec]:
+    """Check a page and replace each chunked object with per-packet unit objects.
+
+    One pass: every id, given or made (a chunked object's units are `id#k`),
+    is unique, and each dependency names an earlier object and a packet
+    within it.  Dependencies into a chunked object are remapped onto the
+    matching unit.  Units inherit the parent trigger; request order within the
+    connection preserves their byte order.  An expanded page expands to itself.
+    """
+    given: dict[str, ObjectSpec] = {}  # earlier objects by the id they were given
+    ids: set[str] = set()  # every id given or made so far
+    out: list[ObjectSpec] = []
     for spec in specs:
-        if spec.id in seen:
-            raise ValidationError(f"duplicate object id {spec.id!r}")
+        units = [f"{spec.id}#{k}" for k in range(1, spec.size_packets + 1)] \
+            if spec.chunked and spec.size_packets > 1 else []
+        for obj_id in (spec.id, *units):
+            if obj_id in ids:
+                raise ValidationError(f"duplicate object id {obj_id!r}")
+            ids.add(obj_id)
         trig = spec.trigger
         if trig.kind == "dep":
-            target = seen.get(trig.dep_id)
+            target = given.get(trig.dep_id)
             if target is None:
                 raise ValidationError(
                     f"object {spec.id!r} depends on {trig.dep_id!r}, which is not "
                     "defined earlier (dangling or forward reference)"
                 )
-            if not 1 <= trig.dep_packet <= target.size_packets:
+            if trig.dep_packet > target.size_packets:
                 raise ValidationError(
                     f"object {spec.id!r} references packet {trig.dep_packet} of "
                     f"{trig.dep_id!r} (size {target.size_packets})"
                 )
-        seen[spec.id] = spec
-    return specs
-
-
-def expand_chunked(specs) -> list[ObjectSpec]:
-    """Replace each chunked object with per-packet unit objects.
-
-    Dependencies into a chunked object are remapped onto the matching unit.
-    Units inherit the parent trigger; request order within the connection
-    preserves their byte order.  A unit id `id#k` that another object already
-    uses is refused.
-    """
-    unit_of: dict[str, str] = {}  # (parent id) -> unit id prefix
-    out: list[ObjectSpec] = []
-    for spec in specs:
-        trig = spec.trigger
-        if trig.kind == "dep" and trig.dep_id in unit_of:
-            trig = Trigger.dep(f"{trig.dep_id}#{trig.dep_packet}", 1)
-        if spec.chunked and spec.size_packets > 1:
-            unit_of[spec.id] = spec.id
-            for k in range(1, spec.size_packets + 1):
-                out.append(
-                    replace(spec, id=f"{spec.id}#{k}", size_packets=1, chunked=False, trigger=trig)
-                )
-        elif spec.chunked:
+            if target.chunked and target.size_packets > 1:
+                trig = Trigger.dep(f"{trig.dep_id}#{trig.dep_packet}", 1)
+        if units:
+            out.extend(replace(spec, id=unit_id, size_packets=1, chunked=False, trigger=trig)
+                       for unit_id in units)
+        elif spec.chunked or trig is not spec.trigger:
             out.append(replace(spec, chunked=False, trigger=trig))
         else:
-            # frozen specs are shared; only a remapped trigger needs a copy
-            out.append(spec if trig is spec.trigger else replace(spec, trigger=trig))
-    seen: set[str] = set()
-    for spec in out:
-        if spec.id in seen:
-            raise ValidationError(f"duplicate object id {spec.id!r} after chunk expansion")
-        seen.add(spec.id)
+            out.append(spec)  # frozen specs are shared
+        given[spec.id] = spec
     return out
 
 
 def load_page_spec(path) -> list[ObjectSpec]:
-    """Parse, validate and expand a page spec file."""
+    """Parse, check and expand a page spec file."""
     path = Path(path)
     specs: list[ObjectSpec] = []
     for line_no, raw in enumerate(read_text(path, "page spec").splitlines(), 1):
@@ -182,16 +175,10 @@ def load_page_spec(path) -> list[ObjectSpec]:
         except (ValueError, ValidationError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
         specs.append(spec)
-    return expand_chunked(validate_specs(specs))
-
-
-def maybe_preempt(current, candidate) -> bool:
-    """Preempt only for strictly higher priority arriving on another connection
-    (same-connection preemption would violate HTTP response ordering)."""
-    return (
-        candidate.priority > current.priority
-        and candidate.connection_id != current.connection_id
-    )
+    try:
+        return expand_chunked(specs)
+    except ValidationError as exc:  # a fault of the page, not of one line
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 class ObjectQueue:
@@ -271,7 +258,6 @@ def random_page(
             priority=1,
             connection_id="conn0",
             chunked=True,
-            trigger=Trigger.t0(),
         )
     )
     for i in range(1, n_objects):

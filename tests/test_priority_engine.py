@@ -55,6 +55,33 @@ def test_cross_connection_preemption():
     assert rec["A"].completion_ms == pytest.approx(24.0)
 
 
+@pytest.mark.parametrize(
+    "priority, conn, ordering, preempts",
+    [
+        (2, "c2", "priority", True),  # strictly higher, on another connection
+        (2, "c1", "priority", False),  # same connection
+        (1, "c2", "priority", False),  # equal priority
+        (0, "c2", "priority", False),  # lower priority
+        (2, "c2", "fifo", False),  # the comparison policy never preempts
+    ],
+)
+def test_preemption_rule(priority, conn, ordering, preempts):
+    # "cur" still has queued packets when "x" is requested at 1 ms.
+    specs = [
+        ObjectSpec("cur", 10, priority=1, connection_id="c1"),
+        ObjectSpec("x", 1, priority=priority, connection_id=conn, trigger=Trigger.at(1.0)),
+    ]
+    engine = PriorityEngine(specs, sources(det(2.0)), SimConfig(), "sos", ordering)
+    pulled = []
+    pull = engine.sim.pull_unserved
+    engine.sim.pull_unserved = lambda live: pulled.append(live.spec.id) or pull(live)
+    recs = {r.object_id: r for r in engine.run()}
+    assert pulled == (["cur"] if preempts else [])
+    # a preempting x rides behind cur's packet in service; otherwise it waits
+    # for cur's queue (on its own connection or by arrival order)
+    assert recs["x"].completion_ms == pytest.approx(4.0 if preempts else 22.0)
+
+
 def test_same_connection_never_preempts():
     specs = [
         ObjectSpec("A", 10, priority=1, connection_id="c1"),

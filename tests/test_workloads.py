@@ -1,13 +1,14 @@
-"""Tests for page specs, triggers, the pending queue and preemption rule."""
+"""Tests for page specs, triggers, page expansion and the pending queue."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sosim.errors import ParseError, ValidationError
+from sosim.errors import ConfigError, ParseError, ValidationError
 from sosim.workloads import (
     ObjectQueue,
     ObjectSpec,
@@ -15,9 +16,7 @@ from sosim.workloads import (
     Trigger,
     expand_chunked,
     load_page_spec,
-    maybe_preempt,
     random_page,
-    validate_specs,
 )
 
 SAMPLE_PAGE = """\
@@ -30,7 +29,7 @@ css,1,1,c3,0,dep:html:2
 
 
 def test_trigger_parse_forms():
-    assert Trigger.parse("t0") == Trigger.t0()
+    assert Trigger.parse("t0") == Trigger() == Trigger.at(0)
     assert Trigger.parse("t:12.5") == Trigger.at(12.5)
     assert Trigger.parse("dep:obj1:3") == Trigger.dep("obj1", 3)
     with pytest.raises(ValidationError):
@@ -76,36 +75,45 @@ def test_load_single_object(tmp_path):
     assert len(specs) == 1 and specs[0].size_packets == 4
 
 
+def refused_page(f, match):
+    """A page-level fault in a spec file is a ConfigError that names the file."""
+    with pytest.raises(ConfigError, match=re.escape(f"{f}: ") + match) as exc:
+        load_page_spec(f)
+    assert not isinstance(exc.value, ParseError)  # no one line is at fault
+
+
 def test_dep_packet_out_of_bounds(tmp_path):
     f = tmp_path / "page.csv"
     f.write_text("a,3,1,c0,0,t0\nb,1,0,c0,0,dep:a:5\n")
-    with pytest.raises(ValidationError):
-        load_page_spec(f)
+    refused_page(f, "object 'b' references packet 5 of 'a'")
 
 
 def test_dangling_and_forward_references(tmp_path):
     f = tmp_path / "page.csv"
     f.write_text("a,3,1,c0,0,dep:ghost:1\n")
-    with pytest.raises(ValidationError):
-        load_page_spec(f)
+    refused_page(f, "object 'a' depends on 'ghost'")
     f.write_text("a,3,1,c0,0,dep:b:1\nb,2,0,c0,0,t0\n")
-    with pytest.raises(ValidationError):
-        load_page_spec(f)  # forward references (and thus cycles) are rejected
+    # forward references (and thus cycles) are rejected
+    refused_page(f, "object 'a' depends on 'b'")
 
 
 def test_duplicate_ids(tmp_path):
     f = tmp_path / "page.csv"
     f.write_text("a,1,0,c0,0,t0\na,2,0,c0,0,t0\n")
-    with pytest.raises(ValidationError):
-        load_page_spec(f)
+    refused_page(f, "duplicate object id 'a'")
 
 
 def test_chunk_unit_id_may_not_collide(tmp_path):
     # chunked "a" expands to a#1 and a#2; the page already names an "a#1"
     f = tmp_path / "page.csv"
     f.write_text("a,2,1,c0,1,t0\na#1,3,0,c2,0,t0\n")
-    with pytest.raises(ValidationError, match="'a#1'"):
-        load_page_spec(f)
+    refused_page(f, "duplicate object id 'a#1'")
+
+
+def test_chunked_id_may_not_repeat():
+    specs = [ObjectSpec("a", 2, chunked=True), ObjectSpec("a", 1)]
+    with pytest.raises(ValidationError, match="duplicate object id 'a'"):
+        expand_chunked(specs)
 
 
 def test_malformed_line_has_number(tmp_path):
@@ -138,10 +146,23 @@ def test_expansion_preserves_packet_count():
         ObjectSpec("a", 5, priority=1, chunked=True),
         ObjectSpec("b", 3, priority=0, trigger=Trigger.dep("a", 4)),
     ]
-    expanded = expand_chunked(validate_specs(specs))
+    expanded = expand_chunked(specs)
     assert sum(s.size_packets for s in expanded) == 8
     assert all(s.size_packets == 1 for s in expanded if s.id.startswith("a#"))
     assert expanded[-1].trigger == Trigger.dep("a#4", 1)
+
+
+def test_expanding_an_expanded_page_returns_it():
+    rng = np.random.default_rng(3)
+    for page in [random_page(rng, 30, 4, 0.3) for _ in range(10)] + [
+        [ObjectSpec("a", 3, chunked=True, trigger=Trigger.at(2.0)),
+         ObjectSpec("b", 2, trigger=Trigger.dep("a", 2)),
+         ObjectSpec("c", 4, chunked=True, trigger=Trigger.dep("b", 2)),
+         ObjectSpec("d", 1, trigger=Trigger.dep("c", 3))]
+    ]:
+        expanded = expand_chunked(page)
+        again = expand_chunked(expanded)
+        assert again == expanded and all(a is b for a, b in zip(again, expanded))
 
 
 def armed(q, obj_id, priority, conn):
@@ -218,14 +239,24 @@ def test_object_size_accepts_numpy_integers():
     assert ObjectSpec("a", np.int64(3)).size_packets == 3
 
 
-@pytest.mark.parametrize("index", [2.7, 2.0, "2", -1])
+@pytest.mark.parametrize("index", [2.7, 2.0, "2", -1, 0])
 def test_dependency_packet_index_must_be_a_nonnegative_integer(index):
+    # packet indices count from 1, whichever way the trigger is built
     with pytest.raises(ValidationError, match="packet index"):
         Trigger.dep("a", index)
+    with pytest.raises(ValidationError, match="packet index"):
+        Trigger("dep", dep_id="a", dep_packet=index)
+
+
+def test_trigger_refuses_an_unknown_kind():
+    for kind in ("whenever", "t0"):
+        with pytest.raises(ValidationError, match=f"unknown trigger kind '{kind}'"):
+            Trigger(kind)
 
 
 def test_dependency_packet_index_accepts_numpy_integers():
     assert Trigger.dep("a", np.int64(2)) == Trigger.dep("a", 2)
+    assert type(Trigger.dep("a", np.int64(2)).dep_packet) is int
 
 
 def test_fifo_queue_ignores_priority():
@@ -235,14 +266,6 @@ def test_fifo_queue_ignores_priority():
     assert ready_id(q) == "A"
 
 
-def test_maybe_preempt_rule():
-    cur = ObjectSpec("cur", 2, priority=1, connection_id="c1")
-    assert maybe_preempt(cur, ObjectSpec("x", 1, priority=2, connection_id="c2"))
-    assert not maybe_preempt(cur, ObjectSpec("x", 1, priority=2, connection_id="c1"))
-    assert not maybe_preempt(cur, ObjectSpec("x", 1, priority=0, connection_id="c2"))
-    assert not maybe_preempt(cur, ObjectSpec("x", 1, priority=1, connection_id="c2"))
-
-
 def test_random_page_shape():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -250,8 +273,7 @@ def test_random_page_shape():
         page = random_page(rng, n, int(rng.integers(1, 11)), 0.3)
         assert len(page) == n
         root = page[0]
-        assert root.chunked and root.is_dom and root.trigger.kind == "t0"
-        validate_specs(page)
+        assert root.chunked and root.is_dom and root.trigger == Trigger()
         expanded = expand_chunked(page)
         assert sum(s.size_packets for s in expanded) == sum(s.size_packets for s in page)
         # no connection mixes DOM and plain objects (unless only one connection)
