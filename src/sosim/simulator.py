@@ -157,9 +157,16 @@ def dispatch_order(counts, params) -> tuple[int, ...]:
 # Oracle decisions of the built-in policies, shared across runs: nothing but
 # the key enters one, so a hit returns what a miss would build.  Cleared when
 # full; a decision whose packet order is longer than the cap is not kept, so
-# the table's bytes are bounded as well as its entries.
+# the table's bytes are bounded as well as its entries.  The limit comes from
+# a memory budget.  Under tracemalloc a kept entry (key, plan, order, its dict
+# slot and the feed statistics its key holds) takes at most 1,400 B at two
+# paths (about 1,300 B measured for a 64-packet order), under 900 B for
+# objects of up to 10 packets, and about 160 B more per further path, so a
+# full table holds at most 23 MB at two paths.  A 30 s random-page load over
+# two paths (perfbench's page_load) decides about 10,600 distinct keys, at
+# about 600 B each (6.3 MB), and they all fit.
 _DECISIONS: dict = {}
-_DECISION_LIMIT = 4096
+_DECISION_LIMIT = 16384
 _SHARED_ORDER_CAP = 64
 
 

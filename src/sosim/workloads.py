@@ -84,6 +84,10 @@ class ObjectSpec:
     trigger: Trigger = Trigger()
 
     def __post_init__(self):
+        if self.id == "":
+            raise ValidationError("object id must not be empty")
+        if self.connection_id == "":
+            raise ValidationError(f"object {self.id!r} connection_id must not be empty")
         require_count(f"object {self.id!r} size_packets", self.size_packets, 1, ValidationError)
         require_count(f"object {self.id!r} priority", self.priority, 0, ValidationError)
 

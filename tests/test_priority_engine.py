@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,6 +480,75 @@ def test_shared_decisions_keep_no_long_order(monkeypatch):
     run_transfer([*range(5000, 5200), 12], "sos", sources(det(5.0), det(7.0)))
     assert [len(order) for _, order in simulator._DECISIONS.values()] == [12]
     assert 12 <= simulator._SHARED_ORDER_CAP < 5000
+
+
+def test_a_second_pass_over_8192_decisions_solves_nothing(monkeypatch):
+    # Every backlog pair in 0..63 at sizes 1 and 2: 8,192 distinct decisions,
+    # all kept, so a second pass over them solves nothing.
+    solves = []
+    solve = simulator.split_object
+    monkeypatch.setattr(simulator, "split_object",
+                        lambda n, paths: solves.append(n) or solve(n, paths))
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    sim = simulator.Simulation(sources(gam(3, 2, seed=1), gam(5, 1, seed=2)))
+    policy = simulator.make_policy("sos")
+    per_pass = []
+    for _ in range(2):
+        solves.clear()
+        for u0, u1 in itertools.product(range(64), repeat=2):
+            sim.lanes[0].u, sim.lanes[1].u = u0, u1
+            for n in (1, 2):
+                sim.decide(policy, n)
+        per_pass.append(len(solves))
+    assert per_pass == [8192, 0]
+
+
+def _bytes_per_kept_decision(monkeypatch, scheduler, paths, sizes, backlog):
+    """tracemalloc bytes the table holds per entry, one Simulation per entry."""
+    policy = simulator.make_policy(scheduler)
+
+    def fill():
+        for k, n in enumerate(sizes):
+            # Its own feed, so the key holds statistics no other entry shares.
+            sim = simulator.Simulation(
+                sources(*[gam(3 + 2 * j, 2, seed=j + 1) for j in range(paths)]))
+            for j, lane in enumerate(sim.lanes):
+                lane.u = backlog + (j + 1) * k
+            sim.decide(policy, n)
+
+    # Fill once untraced, so that nothing made on first use is counted, and
+    # drop that table before tracing: blocks it frees into Python's free
+    # lists would be reused unseen.
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    fill()
+    monkeypatch.setattr(simulator, "_DECISIONS", {})
+    gc.collect()  # also empties the free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fill()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(simulator._DECISIONS) == len(sizes)
+    return held / len(sizes)
+
+
+@pytest.mark.parametrize("scheduler", ["sos", "sos_fec"])
+@pytest.mark.parametrize("paths", [2, 3])
+def test_kept_decisions_stay_within_the_stated_bytes(monkeypatch, scheduler, paths):
+    # The limit's comment and README state at most 1,400 B an entry at two
+    # paths, under 900 B for objects of up to 10 packets, and about 160 B
+    # more per further path.  The worst case is an order at the cap behind
+    # backlogs above 256, which Python does not cache.
+    extra = 160 * (paths - 2)
+    cap = simulator._SHARED_ORDER_CAP
+    assert _bytes_per_kept_decision(monkeypatch, scheduler, paths, [cap] * 300, 1000) \
+        <= 1400 + extra
+    pages = [1 + k % 10 for k in range(300)]
+    assert _bytes_per_kept_decision(monkeypatch, scheduler, paths, pages, 0) < 900 + extra
+    assert simulator._DECISION_LIMIT * 1400 <= 23e6
 
 
 def test_a_repeated_oracle_page_reuses_every_decision(monkeypatch):

@@ -51,6 +51,10 @@ def test_object_spec_validation():
         ObjectSpec("x", 0)
     with pytest.raises(ValidationError):
         ObjectSpec("x", 1, priority=-1)
+    with pytest.raises(ValidationError, match="object id must not be empty"):
+        ObjectSpec("", 2)
+    with pytest.raises(ValidationError, match="object 'x' connection_id must not be empty"):
+        ObjectSpec("x", 2, connection_id="")
 
 
 def test_page_result_ordering():
@@ -118,10 +122,11 @@ def test_chunked_id_may_not_repeat():
 
 def test_malformed_line_has_number(tmp_path):
     f = tmp_path / "page.csv"
-    # the chunked column is 0 or 1, nothing else
-    for bad in ("oops", "b,4,1,c0,2,t0", "b,1,0,c0,7,t0", "b,1,0,c0,-1,t0", "b,1,0,c0,x,t0"):
+    # the chunked column is 0 or 1, nothing else; ids may not be empty
+    for bad in ("oops", "b,4,1,c0,2,t0", "b,1,0,c0,7,t0", "b,1,0,c0,-1,t0", "b,1,0,c0,x,t0",
+                ",2,1,,1,t0", ",2,1,c1,0,t0", "b,2,1,,1,t0"):
         f.write_text(f"a,1,0,c0,0,t0\n{bad}\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=re.escape(f"{f}:2: ")) as exc:
             load_page_spec(f)
         assert exc.value.line_no == 2
 
