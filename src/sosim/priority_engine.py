@@ -72,15 +72,16 @@ class PriorityEngine:
 
     # -- dispatch loop ------------------------------------------------------
 
-    def _busy(self) -> set[str]:
-        """Connections whose last dispatched object still has packets queued."""
-        return {conn for conn, (_, live) in self._slots.items() if live.unserved > 0}
+    def _busy(self, conn: str) -> bool:
+        """Whether conn's last dispatched object still has packets queued."""
+        slot = self._slots.get(conn)
+        return slot is not None and slot[1].unserved > 0
 
     def _drain(self, now: float) -> None:
         # A dispatch can start an object's last queued packet and so free its
         # connection; the simulator does not report that from inside
         # dispatch, and the loop's next scan sees the connection free.
-        while (cand := self.queue.next_ready_object(self._busy())) is not None:
+        while (cand := self.queue.next_ready_object(self._busy)) is not None:
             if self.queue.by_priority:
                 self._preempt_for(cand)
             live = self.lives[cand.id]

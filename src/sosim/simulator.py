@@ -9,15 +9,17 @@ and ACKs release the arrivals that wait on an object's parse progress.
 
 Events are processed in nondecreasing time with a fixed lexicographic
 tie-break (time, kind, path, insertion order), so identical configurations
-and seeds reproduce identical outcomes exactly.
+and seeds reproduce identical outcomes exactly.  A delivery keeps the
+insertion number it drew at service start and rides on its service-end
+event, which queues it as an event only when another event sorts before it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import fec as fec_mod
 from .baselines import edf_assign, sedpf_assign
@@ -309,8 +311,10 @@ class _Lane:
 class Simulation:
     """Event core: lanes, the event heap, delivery/ACK bookkeeping.
 
-    A delivery schedules its ACK only if the ACK records a gap or its object
-    has watchers; `run()` still ends with the clock at the last ACK time.
+    A service end carries its packet's delivery (numbered at service start),
+    which is queued only when another event sorts before it.  A delivery
+    schedules its ACK only if the ACK records a gap or its object has
+    watchers; `run()` still ends with the clock at the last ACK time.
     """
 
     def __init__(self, sources, config: SimConfig = SimConfig()):
@@ -331,7 +335,7 @@ class Simulation:
         self.on_fully_sent = None  # fn(now): service began on an object's last queued packet
 
     def schedule(self, time_ms: float, kind: int, path: int = -1, payload=None) -> None:
-        heapq.heappush(self._heap, (time_ms, kind, path, next(self._counter), payload))
+        heappush(self._heap, (time_ms, kind, path, next(self._counter), payload))
 
     def decide(self, policy, n: int) -> tuple[Plan, tuple[int, ...]]:
         """(plan, packet order) for n packets behind the current backlogs."""
@@ -369,10 +373,14 @@ class Simulation:
         """Remove an object's queued (unserved) packets from all lanes."""
         pulled_total = 0
         for j, lane in enumerate(self.lanes):
-            kept = deque(item for item in lane.queue if item[0] is not obj)
+            kept = deque()
+            for item in lane.queue:
+                if item[0] is obj:
+                    obj.pulled_seqs.append(item[1])
+                else:
+                    kept.append(item)
             pulled = len(lane.queue) - len(kept)
             if pulled:
-                obj.pulled_seqs.extend(seq for o, seq in lane.queue if o is obj)
                 lane.queue = kept
                 lane.u -= pulled
                 obj.unserved -= pulled
@@ -392,25 +400,34 @@ class Simulation:
         lane.serving = True
         # A gap is a valid inter-ACK sample only between back-to-back services.
         recorded = gap if continuation and self.feed.windows is not None else None
-        self.schedule(end, KIND_SERVER_FREE, j)
-        self.schedule(end + lane.prop_ms, KIND_DELIVERED, j, (obj, seq, recorded))
+        number = next(self._counter)  # the delivery's number comes next
+        delivery = (end + lane.prop_ms, KIND_DELIVERED, j, next(self._counter),
+                    (obj, seq, recorded))
+        heappush(self._heap, (end, KIND_SERVER_FREE, j, number, delivery))
         obj.unserved -= 1
         return obj
 
     def step(self) -> bool:
-        """Process one event; returns False once the heap is empty."""
+        """Process one event; returns False once the heap is empty.  A service
+        end also delivers its packet, unless a queued event sorts before the
+        delivery: then it queues it under the number drawn at service start."""
         if not self._heap:
             return False
-        time_ms, kind, path, _, payload = heapq.heappop(self._heap)
+        time_ms, kind, path, _, payload = heappop(self._heap)
         self.clock = time_ms
-        if kind == KIND_ARRIVAL:
-            if self.on_arrival is not None:
-                self.on_arrival(payload, time_ms)
-        elif kind == KIND_SERVER_FREE:
+        if kind == KIND_SERVER_FREE:
             self.lanes[path].serving = False
             obj = self._kick(path, time_ms, continuation=True)
             if obj is not None and obj.unserved == 0 and self.on_fully_sent is not None:
                 self.on_fully_sent(time_ms)
+            if self._heap and self._heap[0] < payload:  # payload: the delivery event
+                heappush(self._heap, payload)
+                return True
+            time_ms, kind, path, _, payload = payload  # delivered below
+            self.clock = time_ms
+        if kind == KIND_ARRIVAL:
+            if self.on_arrival is not None:
+                self.on_arrival(payload, time_ms)
         elif kind == KIND_DELIVERED:
             obj, seq, recorded = payload
             self.lanes[path].u -= 1

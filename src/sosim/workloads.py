@@ -14,7 +14,7 @@ dependencies on earlier objects and in-range packets) and expands it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +143,11 @@ def expand_chunked(specs) -> list[ObjectSpec]:
             if target.chunked and target.size_packets > 1:
                 trig = Trigger.dep(f"{trig.dep_id}#{trig.dep_packet}", 1)
         if units:
-            out.extend(replace(spec, id=unit_id, size_packets=1, chunked=False, trigger=trig)
+            out.extend(ObjectSpec(unit_id, 1, spec.priority, spec.connection_id, False, trig)
                        for unit_id in units)
         elif spec.chunked or trig is not spec.trigger:
-            out.append(replace(spec, chunked=False, trigger=trig))
+            out.append(ObjectSpec(spec.id, spec.size_packets, spec.priority,
+                                  spec.connection_id, False, trig))
         else:
             out.append(spec)  # frozen specs are shared
         given[spec.id] = spec
@@ -197,7 +198,8 @@ class ObjectQueue:
 
     def __init__(self, by_priority: bool = True):
         self.by_priority = by_priority
-        self._armed: dict[str, list[tuple[int, ObjectSpec]]] = {}  # conn -> [(seq, spec)]
+        # conn -> [(seq, spec)]; a connection whose list empties is dropped
+        self._armed: dict[str, list[tuple[int, ObjectSpec]]] = {}
         self._counter = 0
 
     def arm(self, spec: ObjectSpec, arrival_seq: int | None = None) -> None:
@@ -208,14 +210,13 @@ class ObjectQueue:
         bisect.insort(armed, (arrival_seq, spec), key=lambda entry: entry[0])
 
     def next_ready_object(self, busy) -> ObjectSpec | None:
-        """Highest-priority head of a connection not in `busy`, or None.
-
-        Ties break by arrival order then id.
+        """Highest-priority head of a connection for which `busy(conn)` is
+        false, or None.  Ties break by arrival order then id.
         """
         best = None
         best_key = None
         for conn, armed in self._armed.items():
-            if not armed or conn in busy:
+            if busy(conn):
                 continue
             seq, spec = armed[0]
             key = (-spec.priority if self.by_priority else 0, seq, spec.id)
@@ -225,7 +226,10 @@ class ObjectQueue:
 
     def take(self, spec: ObjectSpec) -> int:
         """Pop `spec`, the head of its connection; returns its arrival seq."""
-        return self._armed[spec.connection_id].pop(0)[0]
+        armed = self._armed[spec.connection_id]
+        if len(armed) == 1:
+            del self._armed[spec.connection_id]
+        return armed.pop(0)[0]
 
 
 def random_page(
@@ -243,6 +247,9 @@ def random_page(
     a connection never queues a plain object ahead of a render-critical one.
     """
     require_count("n_objects", n_objects, 1, ValidationError)
+    require_count("n_connections", n_connections, 1, ValidationError)
+    if not 0.0 <= dom_fraction <= 1.0:  # NaN fails both comparisons
+        raise ValidationError(f"dom_fraction must lie in [0, 1], got {dom_fraction!r}")
     n_dom = max(1, round(dom_fraction * n_objects))
     dom_ids = {0}
     if n_objects > 1 and n_dom > 1:
@@ -250,7 +257,7 @@ def random_page(
             np.arange(1, n_objects), size=min(n_dom - 1, n_objects - 1), replace=False
         )
         dom_ids |= {int(x) for x in extra}
-    dom_conns = max(1, n_connections // 3) if n_connections > 1 else 1
+    dom_conns = max(1, n_connections // 3)
 
     specs: list[ObjectSpec] = []
     root_size = int(rng.integers(2, MAX_RANDOM_SIZE + 1))
@@ -275,8 +282,7 @@ def random_page(
         else:
             lo = min(head, parent.size_packets - 1) + 1 if parent.size_packets > head else 1
             packet = int(rng.integers(lo, parent.size_packets + 1))
-            conn_pool = max(n_connections - dom_conns, 1)
-            conn = f"conn{dom_conns + int(rng.integers(0, conn_pool))}" \
+            conn = f"conn{dom_conns + int(rng.integers(0, n_connections - dom_conns))}" \
                 if n_connections > dom_conns else "conn0"
             priority = 0
         specs.append(

@@ -294,8 +294,10 @@ def test_preempted_residual_redispatch_exact(ordering, expected):
 @pytest.mark.parametrize("ack_ms", [0.0, 10.0])
 def test_unread_acks_are_not_events(scheduler, ack_ms):
     # Oracle mode keeps no windows and no object has a dependency watcher, so
-    # each arrival is one event and each packet served is two (service end,
-    # delivery); css preempts img, whose pulled packets are served once.
+    # no ACK enters the heap.  Each arrival is one step and each packet served
+    # is one (its service end, which also delivers the packet unless another
+    # event sorts first); a delivery that had to be queued is one more step.
+    # css preempts img, whose pulled packets are served once.
     specs = [
         ObjectSpec("html", 5, priority=1, connection_id="c0", chunked=True),
         ObjectSpec("img", 9, priority=0, connection_id="c1"),
@@ -305,10 +307,21 @@ def test_unread_acks_are_not_events(scheduler, ack_ms):
     paths = sources(gam(5, 2, seed=1), gam(7, 3, seed=2, prop=2.0))
     engine = PriorityEngine(specs, paths, SimConfig(ack_return_ms=ack_ms), scheduler)
     events = 0
+    queued = set()  # insertion numbers of the deliveries queued as events
+
+    def scan_heap():
+        for _, kind, _, number, _ in engine.sim._heap:
+            assert kind != simulator.KIND_ACK
+            if kind == simulator.KIND_DELIVERED:
+                queued.add(number)
+
+    scan_heap()
     while engine.sim.step():
         events += 1
+        scan_heap()
     packets = sum(sum(r.sent_per_path) for r in engine.run())
-    assert events == len(engine.specs) + 2 * packets
+    assert 0 < len(queued) < packets
+    assert events == len(engine.specs) + packets + len(queued)
 
 
 def test_estimated_page_records_every_back_to_back_gap():
@@ -395,6 +408,60 @@ def test_engine_outcomes_are_pinned():
     assert len(outcomes) == 288
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "adbaeb09d66c0c5fc55c2707807307028119823d66581dd6506425c98991b317"
+
+
+def _tie_outcomes(tmp_path):
+    """Reprs of run_page and run_transfer outcomes whose events tie in time.
+
+    Trace paths replay zero gaps, so a service can end at the time it
+    starts, and deterministic paths share one mean, so services on
+    different paths end together; propagation and ACK return times are
+    small integers, so deliveries, ACKs and arrivals land on equal times.
+    """
+    rng = np.random.default_rng(34)
+    traces = []
+    for k in range(6):
+        samples = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0, 3.0], size=int(rng.integers(2, 9)))
+        samples[k % len(samples)] = 0.0
+        trace = tmp_path / f"trace{k}.csv"
+        trace.write_text("".join(f"{i},{s}\n" for i, s in enumerate(samples)))
+        traces.append(trace)
+    combos = list(itertools.product(
+        (0.0, 1.0, 2.0), ("oracle", "estimated"), simulator.SCHEDULERS, ("priority", "fifo")
+    ))
+    out = []
+    for i in range(300):
+        ack, mode, scheduler, ordering = combos[i % len(combos)]
+        mean = float(rng.integers(1, 4))
+        paths = []
+        for _ in range(int(rng.integers(1, 4))):
+            prop = float(rng.choice([0.0, 1.0, 3.0]))
+            if rng.random() < 0.5:
+                trace = str(traces[int(rng.integers(0, len(traces)))])
+                paths.append(DelaySourceSpec(kind="trace", trace_path=trace, propagation_ms=prop))
+            else:
+                paths.append(det(mean, prop))
+        extra = {}
+        if mode == "estimated":
+            extra["priors"] = tuple((mean, 1.0) for _ in paths)
+            extra["window_capacity"] = int(rng.integers(3, 20))
+        cfg = SimConfig(ack_return_ms=ack, mode=mode, **extra)
+        if i % 3 == 2:
+            sizes = [int(s) for s in rng.integers(1, 12, size=int(rng.integers(1, 5)))]
+            out.append(repr(run_transfer(sizes, scheduler, sources(*paths), cfg)))
+        else:
+            page = random_page(rng, int(rng.integers(1, 15)), int(rng.integers(1, 5)), 0.4)
+            out.append(repr(run_page(page, sources(*paths), cfg, scheduler, ordering)))
+    return out
+
+
+def test_tied_event_outcomes_are_pinned(tmp_path):
+    # Events at equal times run in (time, kind, path, insertion) order; these
+    # bytes pin that order where it decides the outcome.
+    outcomes = _tie_outcomes(tmp_path)
+    assert len(outcomes) == 300
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "b213adedc78ee7148197b0ad72c413badc22ac872293ad72259e67b47f9b63a6"
 
 
 # -- shared oracle decisions ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
 
@@ -44,6 +45,25 @@ def test_trigger_parse_refuses_a_dependency_without_a_packet():
 def test_random_page_needs_an_object():
     with pytest.raises(ValidationError, match="n_objects must be >= 1"):
         random_page(np.random.default_rng(0), 0, 1, 0.2)
+
+
+@pytest.mark.parametrize("n_connections", [0, -3, 2.5, 2.0, "2", None])
+def test_random_page_needs_a_whole_number_of_connections(n_connections):
+    with pytest.raises(ValidationError, match="n_connections must be"):
+        random_page(np.random.default_rng(0), 5, n_connections, 0.3)
+
+
+@pytest.mark.parametrize("dom_fraction", [7.0, -1.0, 1.0 + 1e-9, math.nan, math.inf, -math.inf])
+def test_random_page_needs_a_dom_fraction_in_the_unit_interval(dom_fraction):
+    with pytest.raises(ValidationError, match=r"dom_fraction must lie in \[0, 1\]"):
+        random_page(np.random.default_rng(0), 5, 2, dom_fraction)
+
+
+def test_random_page_accepts_the_ends_of_its_ranges():
+    for n_connections, dom_fraction in [(1, 0.0), (np.int64(3), 1.0), (10, 0.4)]:
+        page = random_page(np.random.default_rng(0), 6, n_connections, dom_fraction)
+        assert len(page) == 6
+        assert len({s.connection_id for s in page}) <= n_connections
 
 
 def test_object_spec_validation():
@@ -174,8 +194,13 @@ def armed(q, obj_id, priority, conn):
     q.arm(ObjectSpec(obj_id, 1, priority=priority, connection_id=conn))
 
 
-def ready_id(q, busy=frozenset()):
-    spec = q.next_ready_object(busy)
+def busy_in(conns=()):
+    """The busy predicate that is true for the named connections only."""
+    return frozenset(conns).__contains__
+
+
+def ready_id(q, busy=()):
+    spec = q.next_ready_object(busy_in(busy))
     return None if spec is None else spec.id
 
 
@@ -194,7 +219,7 @@ def test_queue_arrival_order_tie():
 
 
 def test_queue_empty_returns_none():
-    assert ObjectQueue().next_ready_object(set()) is None
+    assert ObjectQueue().next_ready_object(busy_in()) is None
 
 
 def test_queue_serializes_within_connection():
@@ -208,24 +233,24 @@ def test_queue_serializes_within_connection():
 def test_queue_busy_connection_waits():
     q = ObjectQueue()
     armed(q, "early", 0, "c1")
-    early = q.next_ready_object(set())
+    early = q.next_ready_object(busy_in())
     assert q.take(early) == 0
     armed(q, "late", 5, "c1")
     armed(q, "other", 0, "c2")
     # c1's dispatched object still has packets queued: c1 dispatches nothing
     assert ready_id(q, {"c1"}) == "other"
-    assert q.take(q.next_ready_object({"c1"})) == 2
+    assert q.take(q.next_ready_object(busy_in({"c1"}))) == 2
     assert ready_id(q, {"c1"}) is None
     # once c1 is no longer busy its head dispatches
     assert ready_id(q) == "late"
-    assert q.take(q.next_ready_object(set())) == 1
+    assert q.take(q.next_ready_object(busy_in())) == 1
     assert ready_id(q) is None
 
 
 def test_queue_rearmed_residual_keeps_its_request_position():
     q = ObjectQueue()
     armed(q, "first", 0, "c1")
-    first = q.next_ready_object(set())
+    first = q.next_ready_object(busy_in())
     seq = q.take(first)
     armed(q, "second", 9, "c1")
     q.arm(first, arrival_seq=seq)  # preempted residual returns to the queue
