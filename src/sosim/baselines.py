@@ -18,7 +18,8 @@ Clark's first/second-moment recursion, and sends the packet to the candidate
 path minimizing the expected maximum.  A packet changes one path's moments,
 so the next packet refolds only from that path on: at most
 m(m-1)/2 + 2m - 3 Clark steps per packet, and m after a packet sent to the
-last path.
+last path.  No fold resumes after the last path, so each candidate's step
+onto it computes only the mean.
 """
 
 from __future__ import annotations
@@ -42,23 +43,29 @@ def edf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     return _select(n, [(u, mu, 0.0, prop) for u, mu, w, prop in _terms(n, params)])
 
 
-def clark_max(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
-    """Moment-matched mean and variance of max(X, Y) for independent Gaussians.
+def clark_max(m1: float, v1: float, m2: float, v2: float, second: bool = True):
+    """Moment-matched mean and variance of max(X, Y) for independent Gaussians
+    (C. E. Clark, Operations Research 9(2), 1961).
 
-    The standard normal cdf and pdf are written out; they are the same float
-    operations as `statistics.NormalDist().cdf/pdf`.
+    With `second` false the call stops after the first moment and returns
+    the mean alone, bit for bit the mean of the full call.  The standard
+    normal cdf and pdf are written out; they are the same float operations
+    as `statistics.NormalDist().cdf/pdf`.
     """
     a2 = v1 + v2
     if a2 <= 0.0:
-        return (m1, v1) if m1 >= m2 else (m2, v2)
+        top = (m1, v1) if m1 >= m2 else (m2, v2)
+        return top if second else top[0]
     a = sqrt(a2)
     alpha = (m1 - m2) / a
     cdf = 0.5 * (1.0 + erf(alpha / _SQRT2))
     ccdf = 1.0 - cdf
     pdf = exp(alpha * alpha / -2.0) / _SQRT_TAU
     mean = m1 * cdf + m2 * ccdf + a * pdf
-    second = (m1 * m1 + v1) * cdf + (m2 * m2 + v2) * ccdf + (m1 + m2) * a * pdf
-    var = second - mean * mean
+    if not second:
+        return mean
+    moment2 = (m1 * m1 + v1) * cdf + (m2 * m2 + v2) * ccdf + (m1 + m2) * a * pdf
+    var = moment2 - mean * mean
     return mean, (0.0 if 0.0 > var else var)  # same as max(var, 0.0), -0.0 and NaN too
 
 
@@ -73,9 +80,13 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     max(c, b), and the shared fold is extended again from path b.  The first
     packet, and each one after a packet sent to path 0 or 1, costs
     m(m-1)/2 + 2m - 3 `clark_max` calls; after a packet sent to path b >= 1
-    the next one costs b(m-b) + (m-b)(m-b+1)/2 + m-1-b.  Every fold state is
-    the same `clark_max` call on the same inputs as a fold from scratch, so
-    the plan is bit for bit the one that refolds everything per packet.
+    the next one costs b(m-b) + (m-b)(m-b+1)/2 + m-1-b.  Folds resume at path
+    b - 1 <= m - 2 at the latest, so no fold state after the last path is
+    ever read: each candidate's step onto the last path is a mean-only
+    `clark_max` call, m of them per packet at m >= 2.  Every fold state is
+    the same `clark_max` call on the same inputs as a fold from scratch, and
+    a mean-only call returns the full call's mean, so the plan is bit for
+    bit the one that refolds everything per packet.
     Ties are broken first by the EDF cost and then by index, so the all-zero
     stddev case reduces to EDF's order exactly.
     """
@@ -99,11 +110,12 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
         variances.append(u * v)
         bumped_means.append((u + 1) * mu + prop)
         bumped_vars.append((u + 1) * v)
-    # folds[c][j] is candidate c's (mean, var) after paths 0..j, for j >= c;
+    # folds[c][j] is candidate c's (mean, var) after paths 0..j, for c <= j < m - 1;
     # shared[j] is the fold of the unbumped paths 0..j, for j < m - 1
     folds = [[None] * m for _ in range(m)]
     shared = [None] * m
-    tails = [range(j + 1, m) for j in range(m)]
+    top = m - 1
+    tails = [range(j + 1, top) for j in range(m)]
     order = []
     last = -1  # fold states up to this path are current
     for _ in range(n):
@@ -115,20 +127,25 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
             if cand <= last:
                 mean, var = fold[last]
                 path_after = tails[last]
-            elif cand:
+            elif not cand:
+                mean, var = fold[0] = bumped_means[0], bumped_vars[0]
+                shared[0] = means[0], variances[0]
+                path_after = tails[0]
+            elif cand < top:
                 pre_mean, pre_var = shared[cand - 1]
                 mean, var = fold[cand] = clark_max(
                     pre_mean, pre_var, bumped_means[cand], bumped_vars[cand]
                 )
-                if cand + 1 < m:
-                    shared[cand] = clark_max(pre_mean, pre_var, means[cand], variances[cand])
+                shared[cand] = clark_max(pre_mean, pre_var, means[cand], variances[cand])
                 path_after = tails[cand]
-            else:
-                mean, var = fold[0] = bumped_means[0], bumped_vars[0]
-                shared[0] = means[0], variances[0]
-                path_after = tails[0]
+            else:  # the last path's own bumped step ends its fold
+                pre_mean, pre_var = shared[cand - 1]
+                mean = clark_max(pre_mean, pre_var, bumped_means[cand], bumped_vars[cand], False)
+                path_after = ()
             for j in path_after:
                 mean, var = fold[j] = clark_max(mean, var, means[j], variances[j])
+            if cand < top:
+                mean = clark_max(mean, var, means[top], variances[top], False)
             cand_mean = bumped_means[cand]
             # (mean, cand_mean) < (best_mean, best_cost) as tuples compare, NaN included
             if best is None or mean < best_mean or (

@@ -248,7 +248,11 @@ def random_page(
     """
     require_count("n_objects", n_objects, 1, ValidationError)
     require_count("n_connections", n_connections, 1, ValidationError)
-    if not 0.0 <= dom_fraction <= 1.0:  # NaN fails both comparisons
+    try:
+        in_range = 0.0 <= dom_fraction <= 1.0  # NaN fails both comparisons
+    except TypeError:  # not a number at all
+        in_range = False
+    if not in_range:
         raise ValidationError(f"dom_fraction must lie in [0, 1], got {dom_fraction!r}")
     n_dom = max(1, round(dom_fraction * n_objects))
     dom_ids = {0}

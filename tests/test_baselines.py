@@ -325,7 +325,12 @@ def test_sedpf_fold_calls_follow_the_resume_rule(s, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "clark_max", counted)
         order = sedpf_assign(*s, n)
-    assert len(calls) == resumed_fold_calls(len(s[0]), order)
+    m = len(s[0])
+    assert len(calls) == resumed_fold_calls(m, order)
+    # each candidate's fold ends in one mean-only step, onto the last path
+    mean_only = [args for args in calls if len(args) == 5]
+    assert all(args[4] is False for args in mean_only)
+    assert len(mean_only) == (m * n if m >= 2 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +374,5 @@ def test_clark_max_matches_normaldist_reference_bit_for_bit():
     for case in cases:
         got, want = clark_max(*case), ref_clark_max(*case)
         assert [_bits(x) for x in got] == [_bits(x) for x in want], case
+        # the mean-only call stops after the first moment, with the same bits
+        assert _bits(clark_max(*case, False)) == _bits(got[0]), case

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sosim import estimation
 from sosim.errors import NoDataError, ValidationError
 from sosim.estimation import RollingWindow, nearest_rank, snapshot_params
 from sosim.scheduler_core import variance_w
@@ -99,25 +101,37 @@ def test_moments_match_numpy_bit_for_bit_at_default_capacity():
         assert w.stddev() == float(np.std(arr)) and w.mean() == float(np.mean(arr))
 
 
-def test_one_write_epoch_costs_one_as_array_copy(monkeypatch):
-    calls = []
+def test_snapshots_copy_no_window_and_compute_moments_once_per_write_epoch(monkeypatch):
+    copies, reductions = [], []
     as_array = RollingWindow.as_array
 
-    def counted(self):
-        calls.append(self)
+    def counted_copy(self):
+        copies.append(self)
         return as_array(self)
 
-    monkeypatch.setattr(RollingWindow, "as_array", counted)
+    def counted_reduce(arr):
+        reductions.append(arr.size)
+        return np.add.reduce(arr)
+
+    monkeypatch.setattr(RollingWindow, "as_array", counted_copy)
+    # _moments' two passes (the sum, then the squared deviations) are the
+    # module's only np.add.reduce calls
+    counting_np = SimpleNamespace(**{**vars(np), "add": SimpleNamespace(reduce=counted_reduce)})
+    monkeypatch.setattr(estimation, "np", counting_np)
     w = RollingWindow()
     w.extend(np.arange(6000.0))
     for _ in range(3):
         snapshot_params(w, 0.025)
         w.stddev()
-    assert len(calls) == 1
+        w.mean()
+    assert reductions == [5000, 5000]
     w.record(1.0)
     w.stddev()
     snapshot_params(w, 0.025)
-    assert len(calls) == 2
+    w.extend([2.0, 3.0])
+    snapshot_params(w, 0.025)
+    assert reductions == [5000] * 6
+    assert copies == []
 
 
 def test_snapshot_constant_window():
@@ -218,3 +232,43 @@ def test_ring_buffer_matches_deque(capacity, writes):
         assert w.as_array().min() == float(arr.min())
         rank = max(0, math.ceil(0.95 * len(arr)) - 1)
         assert nearest_rank(w.as_array(), 0.95) == float(np.sort(arr)[rank])
+
+
+_SMALL_WRITES = st.lists(
+    st.one_of(
+        _SAMPLES.map(lambda x: ("record", x)),
+        # up to twice the largest capacity, so extends of at least the capacity are common
+        st.lists(_SAMPLES, max_size=16).map(lambda xs: ("extend", xs)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), _SMALL_WRITES)
+@example(1, [("record", 1.0), ("record", 2.0), ("record", 3.0)])
+@example(2, [("record", float(i)) for i in range(9)])
+@example(3, [("extend", [1.0, 2.0])] * 5 + [("extend", [4.0, 5.0, 6.0]), ("record", 7.0)])
+@example(4, [("extend", [0.5] * 3), ("record", 1e6), ("extend", [9.0] * 9), ("extend", [0.0] * 3)])
+def test_contiguous_run_matches_deque_at_small_capacities(capacity, writes):
+    # small capacities make the run reach the buffer's end, and move to its
+    # front, every few writes
+    w = RollingWindow(capacity)
+    ref: deque[float] = deque(maxlen=capacity)
+    for kind, value in writes:
+        before = (w.as_array(), list(ref)) if ref else None
+        if kind == "record":
+            w.record(value)
+            ref.append(value)
+        else:
+            w.extend(value)
+            ref.extend(value)
+        if before is not None:
+            assert before[0].tolist() == before[1]  # a copy taken earlier never changes
+        assert len(w) == len(ref)
+        if not ref:
+            continue
+        arr = np.array(ref)
+        assert w.mean().hex() == float(np.mean(arr)).hex()
+        assert w.stddev().hex() == float(np.std(arr)).hex()
+        assert w.as_array().tolist() == list(ref)

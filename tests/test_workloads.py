@@ -53,7 +53,9 @@ def test_random_page_needs_a_whole_number_of_connections(n_connections):
         random_page(np.random.default_rng(0), 5, n_connections, 0.3)
 
 
-@pytest.mark.parametrize("dom_fraction", [7.0, -1.0, 1.0 + 1e-9, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "dom_fraction", [7.0, -1.0, 1.0 + 1e-9, math.nan, math.inf, -math.inf, "0.3", None]
+)
 def test_random_page_needs_a_dom_fraction_in_the_unit_interval(dom_fraction):
     with pytest.raises(ValidationError, match=r"dom_fraction must lie in \[0, 1\]"):
         random_page(np.random.default_rng(0), 5, 2, dom_fraction)
