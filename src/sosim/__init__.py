@@ -10,7 +10,6 @@ transmission, and a benchmark harness.
 from .baselines import edf_assign, sedpf_assign
 from .delay_sources import (
     DelaySourceSpec,
-    GammaSource,
     make_source,
     oracle_stats,
 )
@@ -26,7 +25,6 @@ from .fec import solve_fec_split
 from .harness import (
     ExperimentConfig,
     MetricsRow,
-    improvement_pct,
     parse_config,
     run_experiment,
     run_sweep,
@@ -42,15 +40,9 @@ from .scheduler_core import (
     solve_integer,
     solve_relaxed,
     split_object,
-    t_upper,
     variance_w,
 )
-from .simulator import (
-    SimConfig,
-    TransferRecord,
-    make_policy,
-    run_transfer,
-)
+from .simulator import SimConfig, TransferRecord, make_policy
 from .workloads import (
     ObjectQueue,
     ObjectSpec,

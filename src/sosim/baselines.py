@@ -16,15 +16,18 @@ Gaussian (mean scaling linearly with the queue, variance with the queue size
 times sigma^2), folds all paths into the distribution of their maximum via
 Clark's first/second-moment recursion, and sends the packet to the candidate
 path minimizing the expected maximum.  A packet changes one path's moments,
-so the next packet refolds only from that path on: at most
-m(m-1)/2 + 2m - 3 Clark steps per packet, and m after a packet sent to the
-last path.  No fold resumes after the last path, so each candidate's step
-onto it computes only the mean.
+so the next packet refolds only from that path on, and the winner's fold
+becomes the shared fold of the unbumped paths: m(m-1)/2 + 2m - 3 Clark steps
+for the first packet, at most m(m-1)/2 + m - 1 for each later one, and m
+after a packet sent to the last path.  No fold resumes after the last path,
+so each candidate's step onto it computes only the mean.  The steps run
+inline; `clark_max` is the same step as a function, and the reference they
+are tested against.
 """
 
 from __future__ import annotations
 
-from math import erf, exp, sqrt, tau
+from math import erf, exp, inf, sqrt, tau
 
 from .errors import ValidationError, require_finite
 from .scheduler_core import _select, _terms
@@ -50,8 +53,13 @@ def clark_max(m1: float, v1: float, m2: float, v2: float, second: bool = True):
     With `second` false the call stops after the first moment and returns
     the mean alone, bit for bit the mean of the full call.  The standard
     normal cdf and pdf are written out; they are the same float operations
-    as `statistics.NormalDist().cdf/pdf`.
+    as `statistics.NormalDist().cdf/pdf`.  Means must be finite, variances
+    finite and nonnegative.
     """
+    if not (-inf < m1 < inf and -inf < m2 < inf):
+        raise ValidationError(f"Gaussian means must be finite, got {m1!r} and {m2!r}")
+    require_finite("Gaussian variance", v1, ValidationError)
+    require_finite("Gaussian variance", v2, ValidationError)
     a2 = v1 + v2
     if a2 <= 0.0:
         top = (m1, v1) if m1 >= m2 else (m2, v2)
@@ -74,19 +82,22 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
     max delivery time over all paths.
 
     Each candidate's Clark fold runs in path order, so its state after path j
-    depends only on paths 0..j.  Candidate c > 0 extends the shared fold of
-    the unbumped paths 0..c-1.  The fold states are kept between packets:
-    after a packet goes to path b, candidate c resumes its fold at path
-    max(c, b), and the shared fold is extended again from path b.  The first
-    packet, and each one after a packet sent to path 0 or 1, costs
-    m(m-1)/2 + 2m - 3 `clark_max` calls; after a packet sent to path b >= 1
-    the next one costs b(m-b) + (m-b)(m-b+1)/2 + m-1-b.  Folds resume at path
-    b - 1 <= m - 2 at the latest, so no fold state after the last path is
-    ever read: each candidate's step onto the last path is a mean-only
-    `clark_max` call, m of them per packet at m >= 2.  Every fold state is
-    the same `clark_max` call on the same inputs as a fold from scratch, and
-    a mean-only call returns the full call's mean, so the plan is bit for
-    bit the one that refolds everything per packet.
+    depends only on paths 0..j.  Candidate c > 0 starts from the shared fold
+    of the unbumped paths 0..c-1, which the first packet folds once.  The
+    fold states are kept between packets: after a packet goes to path b,
+    candidate c resumes its fold at path max(c, b), and candidate b's fold
+    over paths b..m-2 becomes the shared fold there, since path b's new
+    moments are the ones candidate b bumped.  The first packet costs
+    m(m-1)/2 + 2m - 3 Clark steps; after a packet sent to path 0 the next one
+    costs m(m-1)/2 + m - 1, and after one sent to path b >= 1,
+    b(m-b) + (m-b)(m-b+1)/2.  Folds resume at path b - 1 <= m - 2 at the
+    latest, so no fold state after the last path is ever read: each
+    candidate's step onto the last path computes only the mean, m of them
+    per packet at m >= 2.  Each step is `clark_max`'s float operations in its
+    order, written out inline.  Every fold state is the same step on the same
+    inputs as a fold from scratch, and a mean-only step gives the full step's
+    mean, so the plan is bit for bit the one that refolds everything per
+    packet.
     Ties are broken first by the EDF cost and then by index, so the all-zero
     stddev case reduces to EDF's order exactly.
     """
@@ -110,42 +121,83 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
         variances.append(u * v)
         bumped_means.append((u + 1) * mu + prop)
         bumped_vars.append((u + 1) * v)
+    top = m - 1
+    if not (top and n):  # no packet, or a lone path that takes them all
+        return (0,) * n
     # folds[c][j] is candidate c's (mean, var) after paths 0..j, for c <= j < m - 1;
     # shared[j] is the fold of the unbumped paths 0..j, for j < m - 1
     folds = [[None] * m for _ in range(m)]
     shared = [None] * m
-    top = m - 1
-    tails = [range(j + 1, top) for j in range(m)]
+    # every Clark step below is `clark_max`'s float operations in its order
+    mean, var = shared[0] = means[0], variances[0]
+    for j in range(1, top):
+        m2, v2 = means[j], variances[j]
+        a2 = var + v2
+        if a2 <= 0.0:
+            if not mean >= m2:
+                mean, var = m2, v2
+        else:
+            a = sqrt(a2)
+            alpha = (mean - m2) / a
+            cdf = 0.5 * (1.0 + erf(alpha / _SQRT2))
+            ccdf = 1.0 - cdf
+            pdf = exp(alpha * alpha / -2.0) / _SQRT_TAU
+            m1, mean = mean, mean * cdf + m2 * ccdf + a * pdf
+            moment2 = (m1 * m1 + var) * cdf + (m2 * m2 + v2) * ccdf + (m1 + m2) * a * pdf
+            var = moment2 - mean * mean
+            if var < 0.0:
+                var = 0.0
+        shared[j] = mean, var
     order = []
     last = -1  # fold states up to this path are current
     for _ in range(n):
         # candidates up to `last` resume their own fold after it; the others
-        # restart theirs from the shared fold, which is extended as they go
+        # restart theirs from the shared fold, with their own bumped step
         best = None
         for cand in range(m):
             fold = folds[cand]
             if cand <= last:
                 mean, var = fold[last]
-                path_after = tails[last]
-            elif not cand:
+                j = last + 1
+                m2, v2 = means[j], variances[j]
+            elif cand:
+                mean, var = shared[cand - 1]
+                j = cand
+                m2, v2 = bumped_means[cand], bumped_vars[cand]
+            else:  # candidate 0's fold starts at its own bumped path
                 mean, var = fold[0] = bumped_means[0], bumped_vars[0]
-                shared[0] = means[0], variances[0]
-                path_after = tails[0]
-            elif cand < top:
-                pre_mean, pre_var = shared[cand - 1]
-                mean, var = fold[cand] = clark_max(
-                    pre_mean, pre_var, bumped_means[cand], bumped_vars[cand]
-                )
-                shared[cand] = clark_max(pre_mean, pre_var, means[cand], variances[cand])
-                path_after = tails[cand]
-            else:  # the last path's own bumped step ends its fold
-                pre_mean, pre_var = shared[cand - 1]
-                mean = clark_max(pre_mean, pre_var, bumped_means[cand], bumped_vars[cand], False)
-                path_after = ()
-            for j in path_after:
-                mean, var = fold[j] = clark_max(mean, var, means[j], variances[j])
-            if cand < top:
-                mean = clark_max(mean, var, means[top], variances[top], False)
+                j = 1
+                m2, v2 = means[1], variances[1]
+            # fold (m2, v2), path j's moments, into (mean, var) up to the last path
+            while j < top:
+                a2 = var + v2
+                if a2 <= 0.0:
+                    if not mean >= m2:
+                        mean, var = m2, v2
+                else:
+                    a = sqrt(a2)
+                    alpha = (mean - m2) / a
+                    cdf = 0.5 * (1.0 + erf(alpha / _SQRT2))
+                    ccdf = 1.0 - cdf
+                    pdf = exp(alpha * alpha / -2.0) / _SQRT_TAU
+                    m1, mean = mean, mean * cdf + m2 * ccdf + a * pdf
+                    moment2 = (m1 * m1 + var) * cdf + (m2 * m2 + v2) * ccdf + (m1 + m2) * a * pdf
+                    var = moment2 - mean * mean
+                    if var < 0.0:
+                        var = 0.0
+                fold[j] = mean, var
+                j += 1
+                m2, v2 = means[j], variances[j]
+            # the step onto the last path computes the mean alone
+            a2 = var + v2
+            if a2 <= 0.0:
+                if not mean >= m2:
+                    mean = m2
+            else:
+                a = sqrt(a2)
+                alpha = (mean - m2) / a
+                cdf = 0.5 * (1.0 + erf(alpha / _SQRT2))
+                mean = mean * cdf + m2 * (1.0 - cdf) + a * (exp(alpha * alpha / -2.0) / _SQRT_TAU)
             cand_mean = bumped_means[cand]
             # (mean, cand_mean) < (best_mean, best_cost) as tuples compare, NaN included
             if best is None or mean < best_mean or (
@@ -153,6 +205,12 @@ def sedpf_assign(params, stddevs, n: int) -> tuple[int, ...]:
             ):
                 best, best_mean, best_cost = cand, mean, cand_mean
         order.append(best)
+        if best < top:
+            # the winner's fold over paths best..m-2 is the new shared fold
+            # there: swap the two lists, then copy the shared fold before best
+            shared, folds[best] = folds[best], shared
+            if best:
+                shared[:best] = folds[best][:best]
         means[best] = bumped_means[best]
         variances[best] = bumped_vars[best]
         loads[best] = u = loads[best] + 1

@@ -221,11 +221,32 @@ def queue_states(draw):
 @example(state([0] * 16, [1.0] * 16, [0.0] * 16), 80)
 @example(state([3, 0, 3, 0] * 4, [2.0, 1.0] * 8, [1.0, 1.0] * 8, [1.0, 2.0] * 8), 40)
 @example(state([0, 0, 0], [5.0, 5.0, 5.0], [2.0, 2.0, 2.0]), 30)
+# zero stddevs beside zero backlogs: some steps have a summed variance of 0
+@example(state([0, 0, 0, 0], [1.0, 2.0, 1.5, 3.0], [0.0, 2.0, 0.0, 1.0]), 25)
+# path 0's backlog sets every candidate's max: ties fall to the EDF cost
+@example(state([5, 0, 0], [1.0, 1.0, 2.0], [0.0, 0.0, 0.0]), 12)
+# subnormal means and variances (sqrt(5e-324) squares to 5e-324)
+@example(state([1, 1, 0], [5e-324, 5e-324, 1.0], [math.sqrt(5e-324)] * 2 + [5e-324]), 20)
+# identical paths: every choice rests on the last bits of the folded means
+@example(state([3] * 5, [1.0] * 5, [3.0] * 5), 20)
+@example(state([1, 1], [1.0, 1.0], [3.0, 3.0]), 20)
+@example(state([2], [3.0], [1.0]), 5)
+@example(state([0, 1], [2.0, 1.0], [1.0, 3.0]), 9)
+@example(state([0, 1, 2], [2.0, 1.0, 4.0], [1.0, 3.0, 0.5]), 0)
 def test_plans_match_per_packet_reference(s, n):
     stds = list(s[1])
     assert edf_plan(s, n) == ref_edf_plan(s, n)
     assert sedpf_assign(*s, n) == ref_plan(ref_sedpf_one, s, n)
     assert s[1] == stds  # the caller's view is left as it was
+
+
+def test_sedpf_plan_matches_per_packet_reference_at_benchmark_size():
+    # one 16-path decision drawn like the benchmark's many-path plans: means
+    # U(2, 20) ms, stddevs U(0.5, 50) ms, short backlogs, no propagation delay
+    rng = np.random.default_rng(16)
+    backlogs = np.minimum(rng.geometric(1 / 6, 16) - 1, 59).tolist()
+    s = state(backlogs, rng.uniform(2.0, 20.0, 16).tolist(), rng.uniform(0.5, 50.0, 16).tolist())
+    assert sedpf_assign(*s, 300) == ref_plan(ref_sedpf_one, s, 300)
 
 
 @st.composite
@@ -268,69 +289,91 @@ def test_edf_counts_ignore_w(s, n, ws):
     assert edf_assign(weighted, stds, n) == edf_assign(params, stds, n)
 
 
-def resumed_fold_calls(m, order):
-    """`clark_max` calls of a plan under the resume rule.  The first packet,
-    and each one after a packet sent to path 0, folds every candidate in
-    full; after a packet sent to path b >= 1, candidates 0..b resume at b,
-    the shared fold is extended from b, and later candidates restart."""
-    full = max(m * (m - 1) // 2 + 2 * m - 3, 0)
+def resumed_fold_calls(m, order, reuse=True):
+    """Clark steps of a plan under the resume rule.  The first packet folds
+    every candidate in full, and the shared fold of the unbumped paths with
+    them.  After a packet sent to path b, candidates 0..b-1 resume at b and
+    later candidates restart from the shared fold.  With `reuse` the winner's
+    fold becomes the shared fold from path b on; without it the shared fold
+    is extended again, m - 1 - b more steps (m - 2 after path 0)."""
+    first = max(m * (m - 1) // 2 + 2 * m - 3, 0)
 
     def after(b):
-        return full if b == 0 else b * (m - b) + (m - b) * (m - b + 1) // 2 + m - 1 - b
+        if b == 0:
+            return m * (m - 1) // 2 + m - 1 if reuse else first
+        return b * (m - b) + (m - b) * (m - b + 1) // 2 + (0 if reuse else m - 1 - b)
 
-    return sum(after(b) for b in (0, *order)[: len(order)])
+    return sum(after(b) for b in order[:-1]) + (first if order else 0)
 
 
-# m -> (plan, clark_max calls) of six packets when the last path is the fastest
+def count_clark_steps(mp):
+    """Patch `sosim.baselines.erf` to count calls: one per Clark step whose
+    summed variance is positive."""
+    calls = []
+    erf = baselines.erf
+
+    def counted(x):
+        calls.append(x)
+        return erf(x)
+
+    mp.setattr(baselines, "erf", counted)
+    return calls
+
+
+# m -> (plan, Clark steps) of six packets when the last path is the fastest
 FASTEST_LAST = {
     1: ((0,) * 6, 0),
-    2: ((1, 1, 1, 0, 1, 1), 12),
-    3: ((2, 2, 2, 1, 0, 2), 27),
-    16: ((15, 15, 15, 14, 13, 15), 276),  # 894 with every fold from scratch
+    2: ((1, 1, 1, 1, 0, 1), 12),
+    3: ((2, 2, 2, 1, 2, 2), 23),  # 24 extending the shared fold again
+    16: ((15, 14, 15, 13, 15, 14), 273),  # 276 so, and 894 refolding everything
 }
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16])
-def test_sedpf_fold_calls_clark_max_through_module_global(monkeypatch, m):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return clark_max(*args)
-
-    monkeypatch.setattr(baselines, "clark_max", counted)
-    # paths 0 and 1 take these packets, and after either every fold reruns in full
-    sedpf_assign(*state([0] * m, [1.0 + j for j in range(m)], [2.0] * m), 3)
-    assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
-    # path 0 wins every packet, so every fold runs in full
-    calls.clear()
-    assert sedpf_assign(*state([0] * m, [1.0] + [50.0] * (m - 1), [2.0] * m), 3) == (0,) * 3
-    assert len(calls) == 3 * max(m * (m - 1) // 2 + 2 * m - 3, 0)
+def test_sedpf_fold_steps_call_erf_through_module_global(monkeypatch, m):
+    # every path has a backlog and a stddev, so every step calls erf
+    calls = count_clark_steps(monkeypatch)
+    # path 0 wins every packet, so each later packet refolds every candidate
+    # and takes the shared fold from the winner's
+    assert sedpf_assign(*state([1] * m, [1.0] + [50.0] * (m - 1), [2.0] * m), 3) == (0,) * 3
+    assert len(calls) == max(m * (m - 1) // 2 + 2 * m - 3, 0) + 2 * (m * (m - 1) // 2 + m - 1)
     # the last path wins: the folds resume at the path the previous packet took
     calls.clear()
-    order = sedpf_assign(*state([0] * m, [float(m - j) for j in range(m)], [2.0] * m), 6)
+    order = sedpf_assign(*state([1] * m, [float(m - j) for j in range(m)], [2.0] * m), 6)
     assert (order, len(calls)) == FASTEST_LAST[m]
     assert len(calls) == resumed_fold_calls(m, order)
 
 
+@st.composite
+def busy_states(draw):
+    """Random path views in which every path has a backlog and a stddev, so
+    every Clark step has a positive summed variance."""
+    m = draw(st.integers(1, 9))
+    m = 16 if m == 9 else m
+    size = {"min_size": m, "max_size": m}
+    return state(
+        draw(st.lists(st.integers(1, 30), **size)),
+        draw(st.lists(st.floats(0.1, 20.0), **size)),
+        draw(st.lists(st.floats(0.1, 50.0), **size)),
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), **size)),
+    )
+
+
 @settings(max_examples=100, deadline=None)
-@given(queue_states(), st.integers(0, 40))
+@given(busy_states(), st.integers(0, 40))
 def test_sedpf_fold_calls_follow_the_resume_rule(s, n):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return clark_max(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "clark_max", counted)
+        calls = count_clark_steps(mp)
         order = sedpf_assign(*s, n)
     m = len(s[0])
     assert len(calls) == resumed_fold_calls(m, order)
-    # each candidate's fold ends in one mean-only step, onto the last path
-    mean_only = [args for args in calls if len(args) == 5]
-    assert all(args[4] is False for args in mean_only)
-    assert len(mean_only) == (m * n if m >= 2 else 0)
+    # reusing the winner's fold saves steps after any packet but the last
+    # that goes to a path b <= m - 2
+    old_rule = resumed_fold_calls(m, order, reuse=False)
+    if m >= 3 and any(b <= m - 2 for b in order[:-1]):
+        assert len(calls) < old_rule
+    else:
+        assert len(calls) == old_rule
 
 
 # ---------------------------------------------------------------------------

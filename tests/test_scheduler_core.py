@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sosim.baselines import edf_assign, sedpf_assign
+from sosim.baselines import clark_max, edf_assign, sedpf_assign
 from sosim.errors import ValidationError
 from sosim.estimation import RollingWindow
 from sosim.fec import solve_fec_split
@@ -216,6 +216,9 @@ REFUSED_CALLS = {
     "edf_assign-no-paths": lambda: edf_assign([], [], 3),
     "sedpf_assign-no-paths": lambda: sedpf_assign([], [], 3),
     "d_upper-no-paths": lambda: d_upper([], []),
+    "clark_max-v1=-3": lambda: clark_max(0.0, -3.0, 1.0, 1.0),
+    "clark_max-v1=-1": lambda: clark_max(0.0, -1.0, 0.0, 2.0),
+    "clark_max-m1=inf": lambda: clark_max(math.inf, 1.0, 0.0, 1.0),
     "variance_w-sigma=nan": lambda: variance_w(0.05, math.nan),
     "compute_w-a=nan": lambda: compute_w(0.05, math.nan, 1.0),
     "compute_w-b=inf": lambda: compute_w(0.05, 0.0, math.inf),
